@@ -12,7 +12,7 @@ import json
 import sys
 
 from ._rational import BACKEND, rat, rat_from_str, rat_str
-from .series import InsufficientOrderError, Series
+from .series import Series
 from .identities import (
     UnknownIdentityError,
     list_identities,
@@ -24,6 +24,8 @@ from .identities import (
 from .linsolve import decompose
 from .numerators import (
     SUPPORTED_CHARACTERS,
+    branching_basis,
+    certify,
     character,
     ensure_order,
     numerator,
@@ -205,36 +207,24 @@ def branch_product(left, right, order):
                 f"character {lbl[0]}:{lbl[1]} not available; supported: "
                 + ", ".join(f"{a}:{b}" for a, b in SUPPORTED_CHARACTERS)
             )
-    lvl = left[0] + right[0]
-    parity = (left[1] + right[1]) % 2
-    basis_labels = [
-        (lvl, t) for t in range(lvl + 1)
-        if t % 2 == parity and (lvl, t) in SUPPORTED_CHARACTERS
-    ]
+    basis_labels = branching_basis(left, right)
     if not basis_labels:
         raise UsageError(
-            f"basis not available: no level-{lvl} characters of parity "
-            f"{parity} have closed forms"
+            f"basis not available: no level-{left[0] + right[0]} characters "
+            f"of parity {(left[1] + right[1]) % 2} have closed forms"
         )
 
-    def run(k):
+    def attempt(k):
+        # head start: a factor of negative order cuts the product's cutoff
+        k += rat(1, 2)
         target = character(*left, k) * character(*right, k)
         basis = [
             ensure_order(lambda t, lbl=lbl: character(*lbl, t), k)
             for lbl in basis_labels
         ]
-        return target, basis
+        return decompose(target, basis, order)
 
-    boost = rat(1, 2)
-    for _ in range(6):
-        target, basis = run(order + boost)
-        try:
-            return basis_labels, decompose(target, basis, order)
-        except InsufficientOrderError as exc:
-            short = order - exc.max_order if exc.max_order is not None else 1
-            boost += max(rat(short), rat(1, 2))
-            continue
-    raise UsageError(f"could not certify branching at order {order}")
+    return basis_labels, certify(attempt, order)
 
 
 def cmd_branch(args) -> int:

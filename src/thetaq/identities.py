@@ -22,10 +22,12 @@ from dataclasses import dataclass
 from . import cyclo
 from ._rational import R0, rat, rat_str
 from .cyclo import phase
-from .linsolve import decompose, membership
+from .linsolve import membership
 from .numerators import (
     DegenerateDivisorError,
     _half_divisor_degenerate,
+    branching_basis,
+    certify,
     character,
     derived_denominator,
     ensure_order,
@@ -37,7 +39,7 @@ from .numerators import (
     u_basis,
     undivided_half_combination,
 )
-from .series import InsufficientOrderError, Series
+from .series import Series
 from .thetalib import (
     ThetaSpec,
     bracket,
@@ -117,23 +119,13 @@ def membership_check(target_builder, basis_builder):
     """basis_builder(order) -> list of Series; retried on trust shortfalls."""
 
     def run(order):
-        boost = R0
-        for _ in range(6):
-            t = ensure_order(target_builder, order + boost)
-            basis = [
-                ensure_order(lambda k, b=b: b(k), order + boost)
-                for b in basis_builder(order + boost)
-            ]
-            try:
-                ok, wit = membership(t, basis, order)
-            except InsufficientOrderError as e:
-                short = order - e.max_order if e.max_order is not None else rat(1)
-                boost += max(short, rat(1, 2))
-                continue
+        def attempt(k):
+            t = ensure_order(target_builder, k)
+            basis = [ensure_order(b, k) for b in basis_builder(k)]
+            ok, wit = membership(t, basis, order)
             return CheckResult("pass" if ok else "fail", order, wit)
-        raise InsufficientOrderError(
-            f"could not certify membership at order {order}"
-        )
+
+        return certify(attempt, order)
 
     return run
 
@@ -142,37 +134,33 @@ def span_check(a_builder, b_builder):
     """Mutual membership of two generating families."""
 
     def run(order):
-        boost = R0
-        for _ in range(6):
-            fam_a = [
-                ensure_order(lambda k, b=b: b(k), order + boost)
-                for b in a_builder(order + boost)
-            ]
-            fam_b = [
-                ensure_order(lambda k, b=b: b(k), order + boost)
-                for b in b_builder(order + boost)
-            ]
-            try:
-                for x in fam_a:
-                    ok, wit = membership(x, fam_b, order)
+        def attempt(k):
+            fam_a = [ensure_order(b, k) for b in a_builder(k)]
+            fam_b = [ensure_order(b, k) for b in b_builder(k)]
+            for xs, ys in ((fam_a, fam_b), (fam_b, fam_a)):
+                for x in xs:
+                    ok, wit = membership(x, ys, order)
                     if not ok:
                         return CheckResult("fail", order, wit)
-                for y in fam_b:
-                    ok, wit = membership(y, fam_a, order)
-                    if not ok:
-                        return CheckResult("fail", order, wit)
-            except InsufficientOrderError as e:
-                short = order - e.max_order if e.max_order is not None else rat(1)
-                boost += max(short, rat(1, 2))
-                continue
             return CheckResult("pass", order)
-        raise InsufficientOrderError(f"could not certify span at order {order}")
+
+        return certify(attempt, order)
 
     return run
 
 
-def _const(series_fn):
-    return lambda order: series_fn(order)
+def _e(c, p):
+    return lambda o: eta(rat(c), p, o)
+
+
+def _prod(*bs):
+    def b(o):
+        out = Series.one(rat(o))
+        for x in bs:
+            out = out * x(o)
+        return out
+
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -315,83 +303,63 @@ def _build_s2(reg):
              f"two-variable theta {label} as degree-2 combination",
              equality_check(lambda o, label=label: mumford(label, o), combo))
 
-    def e(c, p):
-        return lambda o: eta(rat(c), p, o)
-
-    def times(*bs):
-        def b(o):
-            out = Series.one(rat(o))
-            for x in bs:
-                out = out * x(o)
-            return out
-
-        return b
-
     def mum2(label):
         return lambda o: mumford(label, o, qscale=2, zcoeff=2)
 
-    big = times(e(2, 5), e(1, -2), e(4, -2), mum2("00"))
-    small = times(e(4, 2), e(2, -1), mum2("10"))
+    big = _prod(_e(2, 5), _e(1, -2), _e(4, -2), mum2("00"))
+    small = _prod(_e(4, 2), _e(2, -1), mum2("10"))
+
+    # the doubled-argument brace, big +- 2 * small
+    def brace_plus(o):
+        return big(o) + small(o).times_monomial(cyclo.from_rational(2))
+
+    def brace_minus(o):
+        return big(o) - small(o).times_monomial(cyclo.from_rational(2))
 
     _add(reg, "S2.mumford.item1", "equality", 6,
          "squared 00-theta via doubled arguments",
-         equality_check(
-             lambda o: mumford("00", o) * mumford("00", o),
-             lambda o: big(o) + small(o).times_monomial(cyclo.from_rational(2)),
-         ))
+         equality_check(lambda o: mumford("00", o) * mumford("00", o), brace_plus))
     _add(reg, "S2.mumford.item2", "equality", 6,
          "00 times 01 via doubled arguments",
          equality_check(
              lambda o: mumford("00", o) * mumford("01", o),
-             times(e(2, 1), e(1, 2), e(2, -2), mum2("01")),
+             _prod(_e(2, 1), _e(1, 2), _e(2, -2), mum2("01")),
          ))
     _add(reg, "S2.mumford.item3", "equality", 6,
          "squared 01-theta via doubled arguments",
-         equality_check(
-             lambda o: mumford("01", o) * mumford("01", o),
-             lambda o: big(o) - small(o).times_monomial(cyclo.from_rational(2)),
-         ))
+         equality_check(lambda o: mumford("01", o) * mumford("01", o), brace_minus))
 
     # ratio identities (divisions by the unit-leading 00/01 thetas)
-    def brace(sign):
-        def b(o):
-            first = times(e(2, 5), e(1, -2), e(4, -2), mum2("00"))(o)
-            second = times(e(4, 2), e(2, -1), mum2("10"))(o)
-            second = second.times_monomial(cyclo.from_rational(2))
-            return first + second if sign > 0 else first - second
-
-        return b
-
     _add(reg, "S2.ratio.item1i", "equality", 6,
          "10/01 ratio against the doubled-argument brace, minus branch",
          equality_check(
-             lambda o: mumford("10", o) * mumford("01", o).inverse() * brace(-1)(o),
+             lambda o: mumford("10", o) * mumford("01", o).inverse() * brace_minus(o),
              lambda o: mumford("01", o) * mumford("10", o),
          ))
     _add(reg, "S2.ratio.item1ii", "equality", 6,
          "10/00 ratio against the doubled-argument brace, plus branch",
          equality_check(
-             lambda o: mumford("10", o) * mumford("00", o).inverse() * brace(1)(o),
+             lambda o: mumford("10", o) * mumford("00", o).inverse() * brace_plus(o),
              lambda o: mumford("00", o) * mumford("10", o),
          ))
     _add(reg, "S2.ratio.item2i", "equality", 6,
          "10/01 ratio times doubled 01",
          equality_check(
              lambda o: mumford("10", o) * mumford("01", o).inverse() * mum2("01")(o),
-             times(e(2, 1), e(1, -2),
+             _prod(_e(2, 1), _e(1, -2),
                    lambda o: mumford("00", o) * mumford("10", o)),
          ))
     _add(reg, "S2.ratio.item2ii", "equality", 6,
          "10/00 ratio times doubled 01",
          equality_check(
              lambda o: mumford("10", o) * mumford("00", o).inverse() * mum2("01")(o),
-             times(e(2, 1), e(1, -2),
+             _prod(_e(2, 1), _e(1, -2),
                    lambda o: mumford("01", o) * mumford("10", o)),
          ))
 
     # squares of the degree-1 thetas
-    sq_a = times(e(1, 4), e(rat(1, 2), -2), e(2, -2), lambda o: mumford("00", o))
-    sq_b = times(e(rat(1, 2), 2), e(1, -2), lambda o: mumford("01", o))
+    sq_a = _prod(_e(1, 4), _e(rat(1, 2), -2), _e(2, -2), lambda o: mumford("00", o))
+    sq_b = _prod(_e(rat(1, 2), 2), _e(1, -2), lambda o: mumford("01", o))
 
     def half_eta(sign):
         def b(o):
@@ -412,7 +380,7 @@ def _build_s2(reg):
          "product of the two degree-1 thetas",
          equality_check(
              lambda o: theta_jm(0, 1, o) * theta_jm(1, 1, o),
-             times(e(2, 2), e(1, -1), lambda o: mumford("10", o)),
+             _prod(_e(2, 2), _e(1, -1), lambda o: mumford("10", o)),
          ))
 
     # argument-shift laws
@@ -449,16 +417,29 @@ def _build_s2(reg):
                      f"half-period slice vs twisted constant, m={m}, p={p}",
                      equality_check(lhs_a, rhs_b))
 
+            absorptions = []  # (tag, anchor, tau-shift, z sign, q^, z^, index)
             for tag, sgn, zsgn in (
                 ("2i", 1, 1),
                 ("2ii", 1, -1),
                 ("3i", -1, 1),
                 ("3ii", -1, -1),
             ):
-                tsh = rat(4 * p + sgn, 2 * (m + 1))
-                qpow = -rat(1, 16) * rat((4 * p + sgn) ** 2, m + 1)
-                zpow = -rat(4 * p + sgn, 4) * zsgn
-                idx = (rat(2 * p) + rat(sgn, 2)) * zsgn
+                absorptions.append((
+                    tag, "tau-shift absorption", rat(4 * p + sgn, 2 * (m + 1)),
+                    zsgn, -rat(1, 16) * rat((4 * p + sgn) ** 2, m + 1),
+                    -rat(4 * p + sgn, 4) * zsgn,
+                    (rat(2 * p) + rat(sgn, 2)) * zsgn,
+                ))
+            for tag, zsgn in (("4i", 1), ("4ii", -1)):
+                off = rat(4 * p - 1, 4) + zsgn * rat(m + 1, 2)
+                absorptions.append((
+                    tag, "full-period tau-shift absorption",
+                    rat(4 * p - 1, 2 * (m + 1)) + zsgn, zsgn,
+                    -rat(1, m + 1) * off**2, -off * zsgn,
+                    (2 * p - rat(1, 2) + m + 1) * zsgn,
+                ))
+
+            for tag, what, tsh, zsgn, qpow, zpow, idx in absorptions:
 
                 def lhs_z(order, m=m, tsh=tsh, zsgn=zsgn):
                     return theta(
@@ -471,30 +452,8 @@ def _build_s2(reg):
                     )
 
                 _add(reg, f"S2.shift626a.item{tag}.p{p}m{m}", "equality", 6,
-                     f"tau-shift absorption, m={m}, p={p}, branch {tag}",
+                     f"{what}, m={m}, p={p}, branch {tag}",
                      equality_check(lhs_z, rhs_z))
-
-            for tag, zsgn in (("4i", 1), ("4ii", -1)):
-                tsh = rat(4 * p - 1, 2 * (m + 1)) + zsgn
-                off = rat(4 * p - 1, 4) + zsgn * rat(m + 1, 2)
-                qpow = -rat(1, m + 1) * off**2
-                zpow = -off * zsgn
-                idx = (2 * p - rat(1, 2) + m + 1) * zsgn
-
-                def lhs_w(order, m=m, tsh=tsh, zsgn=zsgn):
-                    return theta(
-                        ThetaSpec(0, m + 1, zcoeff=zsgn, tshift=tsh), order
-                    )
-
-                def rhs_w(order, m=m, idx=idx, qpow=qpow, zpow=zpow):
-                    return theta_jm(idx, m + 1, order - qpow).times_monomial(
-                        cyclo.ONE, qpow, zpow
-                    )
-
-                _add(reg, f"S2.shift626a.item{tag}.p{p}m{m}", "equality", 6,
-                     f"full-period tau-shift absorption, m={m}, p={p}, "
-                     f"branch {tag}",
-                     equality_check(lhs_w, rhs_w))
 
     for p in _SHIFTS:
         for tag, tsh, qpow, zpow, idx in (
@@ -592,18 +551,6 @@ def _build_s3(reg):
              f"level-1 character (label {m2}) built two ways",
              equality_check(lambda o, m2=m2: character(1, m2, o), via_mumford))
 
-    def e(c, p):
-        return lambda o: eta(rat(c), p, o)
-
-    def prod(*bs):
-        def b(o):
-            out = Series.one(rat(o))
-            for x in bs:
-                out = out * x(o)
-            return out
-
-        return b
-
     def chmul(a, b):
         return lambda o: character(*a, o) * character(*b, o)
 
@@ -613,7 +560,7 @@ def _build_s3(reg):
          equality_check(
              lambda o: mumford("00", o),
              lambda o: (
-                 prod(e(rat(1, 2), 1), e(2, 1))(o)
+                 _prod(_e(rat(1, 2), 1), _e(2, 1))(o)
                  * (character(2, 0, o) - character(2, 2, o))
              ).times_monomial(cyclo.MINUS_ONE),
          ))
@@ -622,7 +569,7 @@ def _build_s3(reg):
          equality_check(
              lambda o: mumford("01", o),
              lambda o: (
-                 prod(e(1, 1), e(2, 1), e(rat(1, 2), -1))(o)
+                 _prod(_e(1, 1), _e(2, 1), _e(rat(1, 2), -1))(o)
                  * (character(2, 0, o) + character(2, 2, o))
              ).times_monomial(cyclo.MINUS_ONE),
          ))
@@ -631,7 +578,7 @@ def _build_s3(reg):
          equality_check(
              lambda o: mumford("01", o) * mumford("10", o),
              lambda o: (
-                 prod(e(rat(1, 2), 1), e(2, 1))(o)
+                 _prod(_e(rat(1, 2), 1), _e(2, 1))(o)
                  * (character(4, 1, o) + character(4, 3, o))
              ).times_monomial(-cyclo.I),
          ))
@@ -640,14 +587,14 @@ def _build_s3(reg):
          equality_check(
              lambda o: mumford("00", o) * mumford("10", o),
              lambda o: (
-                 prod(e(rat(1, 2), 1), e(1, 2))(o)
+                 _prod(_e(rat(1, 2), 1), _e(1, 2))(o)
                  * (character(4, 1, o) - character(4, 3, o))
              ).times_monomial(-cyclo.I),
          ))
 
-    A = prod(e(1, 3), e(rat(1, 2), -1), e(2, -1))
-    B = prod(e(rat(1, 2), 1), e(2, 1), e(1, -2))
-    C = prod(e(1, 1), e(rat(1, 2), -1))
+    A = _prod(_e(1, 3), _e(rat(1, 2), -1), _e(2, -1))
+    B = _prod(_e(rat(1, 2), 1), _e(2, 1), _e(1, -2))
+    C = _prod(_e(1, 1), _e(rat(1, 2), -1))
     half = cyclo.from_rational(rat(1, 2))
     mhalf = cyclo.from_rational(rat(-1, 2))
 
@@ -753,6 +700,23 @@ def _vgens(m, sector):
         return out
 
     return b
+
+
+def _generator_multiples_check(factor, m, sector, m2, sector2):
+    """factor times every level-m sector generator lies in the level-m2
+    sector2 span."""
+
+    def run(order):
+        for i in range(len(u_basis(m, sector, rat(2)))):
+            chk = membership_check(
+                lambda o, i=i: factor(o) * u_basis(m, sector, o)[i],
+                _ub(m2, sector2),
+            )(order)
+            if chk.status != "pass":
+                return chk
+        return CheckResult("pass", order)
+
+    return run
 
 
 def _build_s5(reg):
@@ -937,22 +901,10 @@ def _build_s5(reg):
                 m + 4, "half"))
 
     for tag, m, sector, factor, m2, sector2 in closure:
-        def run_all_elements(order, m=m, sector=sector, factor=factor,
-                             m2=m2, sector2=sector2):
-            n_el = len(u_basis(m, sector, rat(2)))
-            for i in range(n_el):
-                chk = membership_check(
-                    lambda o, i=i: factor(o) * u_basis(m, sector, o)[i],
-                    _ub(m2, sector2),
-                )(order)
-                if chk.status != "pass":
-                    return chk
-            return CheckResult("pass", order)
-
         _add(reg, f"S5.closure.{tag}", "membership", 4,
              f"theta multiple of every level-{m} {sector} generator lands in "
              f"the level-{m2} {sector2} span",
-             run_all_elements)
+             _generator_multiples_check(factor, m, sector, m2, sector2))
 
     # character closure: U-version (f ranges over span generators) and
     # V-version (f is the numerator base of the sector)
@@ -974,23 +926,13 @@ def _build_s5(reg):
             charclosure.append(((4, 3), m, sector, m + 4, sector2))
 
     for lbl, m, sector, m2, sector2 in charclosure:
-        def run_u(order, lbl=lbl, m=m, sector=sector, m2=m2, sector2=sector2):
-            n_el = len(u_basis(m, sector, rat(2)))
-            for i in range(n_el):
-                chk = membership_check(
-                    lambda o, i=i: character(*lbl, o) * u_basis(m, sector, o)[i],
-                    _ub(m2, sector2),
-                )(order)
-                if chk.status != "pass":
-                    return chk
-            return CheckResult("pass", order)
-
         _add(reg,
              f"S5.charclosure.U.ch{lbl[0]}-{lbl[1]}.m{m}.{sector}",
              "membership", 4,
              f"level-{lbl[0]} character (label {lbl[1]}) times every level-{m} "
              f"{sector} generator lands in the level-{m2} {sector2} span",
-             run_u)
+             _generator_multiples_check(
+                 lambda o, lbl=lbl: character(*lbl, o), m, sector, m2, sector2))
 
         def base_num(order, m=m, sector=sector):
             if sector == "half":
@@ -1027,11 +969,8 @@ def _build_s5(reg):
             parity = (left[1] + right[1]) % 2
             cid = (f"S5.conj.case{case_no}."
                    f"{left[0]}-{left[1]}x{right[0]}-{right[1]}")
-            char_basis = [
-                lbl for lbl in ((lvl, t) for t in range(lvl + 1))
-                if lbl[1] % 2 == parity and lbl in _SUPPORTED
-            ]
-            if lvl in (2, 4) and char_basis:
+            char_basis = branching_basis(left, right)
+            if char_basis:
                 _add(reg, cid, "branching", 4,
                      f"character product decomposes over level-{lvl} "
                      f"characters of parity {parity}",
@@ -1093,9 +1032,6 @@ def _build_s5(reg):
              * character(1, 1, o + rat(1, 2)),
              lambda order: [lambda k: numerator(1, rat(1), k)],
          ))
-
-
-_SUPPORTED = {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (4, 1), (4, 3)}
 
 
 def registry() -> dict:

@@ -27,17 +27,20 @@ FLOOR_PAD = rat(1)
 
 @dataclass
 class Decomposition:
+    """Outcome of :func:`decompose`.
+
+    ``status`` is "exact" (zero residual, basis independent below the
+    order), "not-in-span" (nonzero residual; ``witness`` is its smallest
+    monomial) or "under-determined" (zero residual, but the basis is
+    dependent, so the coefficients are not unique).  Only "exact" counts as
+    membership: an under-determined result is *not* a member.
+    """
+
     coefficients: list
     residual: Series
     status: str  # exact | not-in-span | under-determined
     certified_order: object
     witness: tuple | None
-
-    @property
-    def is_exact(self) -> bool:
-        return self.status in ("exact", "under-determined") and (
-            self.residual.is_zero_series()
-        )
 
     def json_obj(self):
         return {
@@ -255,7 +258,8 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
 
 
 def membership(target: Series, basis: list[Series], order):
-    """True iff target decomposes exactly; returns (bool, witness)."""
+    """True iff target decomposes with status "exact"; returns
+    (bool, witness).  An under-determined decomposition is not a member."""
     dec = decompose(target, basis, order)
     return dec.status == "exact", dec.witness
 

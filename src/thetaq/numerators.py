@@ -21,14 +21,7 @@ from . import cyclo
 from ._rational import R0, R1, rat
 from .cyclo import phase
 from .series import InsufficientOrderError, Series
-from .thetalib import (
-    bracket,
-    eta,
-    mumford,
-    theta_jm,
-    theta_pm,
-    theta_zero_arg,
-)
+from .thetalib import _coset_range, bracket, eta, mumford, theta_jm, theta_pm
 
 _cache: dict = {}
 _cache_lock = threading.Lock()
@@ -43,13 +36,13 @@ def _cached(key, build):
         return _cache.setdefault(key, val)
 
 
-def ensure_order(builder, order, max_tries=8):
+def ensure_order(builder, order):
     """Re-run ``builder`` with boosted internal order until the propagated
     cutoff covers ``order``.  Converges in one or two tries for every
     builder here (trust losses are fixed shifts)."""
     order = rat(order)
     boost = R0
-    for _ in range(max_tries):
+    for _ in range(8):
         s = builder(order + boost)
         if s.cutoff >= order:
             return s
@@ -57,6 +50,19 @@ def ensure_order(builder, order, max_tries=8):
     raise InsufficientOrderError(
         f"builder failed to reach trusted order {order}", max_order=s.cutoff
     )
+
+
+def certify(attempt, order):
+    """Run ``attempt(order + boost)`` until it stops raising
+    InsufficientOrderError.  Each shortfall raises the boost by at least 1/2,
+    so retried builds land on orders other attempts share in the cache."""
+    boost = R0
+    for _ in range(6):
+        try:
+            return attempt(order + boost)
+        except InsufficientOrderError as exc:
+            boost += max(order - exc.max_order, rat(1, 2))
+    raise InsufficientOrderError(f"could not certify order {order}")
 
 
 def _min_coset_abs(n0):
@@ -98,8 +104,8 @@ def _triple_sum_weights(m: int, alpha, bound):
     (the r-sum over 1..j, subtracted r-sum over 0..j-1 with t = 2mr + k and
     the two unit phases swapped).  Truncation: every term with index j obeys
     exponent >= j^2 - 2m*max(alpha,0)*j  (because t <= 2mj and t^2/(4m) <=
-    tj/2), so j may stop at the positive root of that quadratic against
-    ``bound``; widened by one and asserted per kept term.
+    tj/2), so j stops at the last integer with that quadratic below
+    ``bound``, found exactly; the bound is asserted per term.
     """
     alpha = rat(alpha)
     bound = rat(bound)
@@ -108,8 +114,8 @@ def _triple_sum_weights(m: int, alpha, bound):
         return {}
     a_pos = alpha if alpha > 0 else R0
     g = 2 * m * a_pos
-    disc = float(g) ** 2 + max(float(bound), 0.0)
-    jmax = int(float(g) + disc**0.5) + 2
+    js = _coset_range(R0, R1, -g, bound)
+    jmax = js[-1] if js else 0
     acc = {k: {} for k in ks}
 
     def put(k, ex, coeff):
@@ -167,26 +173,38 @@ def _half_divisor_degenerate(m: int, p: int) -> bool:
     return two_n0.denominator == 1 and int(two_n0) % 2 == 1
 
 
-def numerator_half(m: int, p: int, order) -> Series:
-    """The half-sector numerator F[m, 1/2] built with ladder offset p >= 0.
-
-    Independent of p up to the propagated cutoff; the registry checks this.
-    """
+def _numerator(m, p, sector, order) -> Series:
+    """Validate (m, p) for the sector and return its cached base numerator."""
     m = int(m)
     p = int(p)
     if m < 1:
         raise ValueError("level m must be a positive integer")
+    if sector == "integer" and m % 2 == 0:
+        raise ValueError("integer-s numerator undefined for even m")
     if p < 0:
         raise ValueError("shift p must be a nonnegative integer")
-    if _half_divisor_degenerate(m, p):
+    if sector == "half" and _half_divisor_degenerate(m, p):
         raise DegenerateDivisorError(
             f"twisted constant of index {m}*(4*{p}+1)/2 at degree {m + 1} "
             "vanishes identically; the expansion is undefined at this shift"
         )
     return _cached(
-        ("numh", m, p, rat(order)),
-        lambda: ensure_order(lambda k: _numerator_half_raw(m, p, k), order),
+        ("numh" if sector == "half" else "numi", m, p, rat(order)),
+        lambda: ensure_order(lambda k: _numerator_raw(m, p, sector, k), order),
     )
+
+
+def numerator_half(m: int, p: int, order) -> Series:
+    """The half-sector numerator F[m, 1/2] built with ladder offset p >= 0.
+
+    Independent of p up to the propagated cutoff; the registry checks this.
+    """
+    return _numerator(m, p, "half", order)
+
+
+def numerator_int(m: int, p: int, order) -> Series:
+    """The integer-sector numerator F[m, 0]; defined for odd m only."""
+    return _numerator(m, p, "integer", order)
 
 
 def undivided_half_combination(m: int, p: int, order) -> Series:
@@ -219,98 +237,67 @@ def undivided_half_combination(m: int, p: int, order) -> Series:
     return ensure_order(build, order)
 
 
-def _numerator_half_raw(m, p, order):
-    eps = 1 if m % 2 else -1
-    big_m = m + 1
-    idx0 = rat(m * (4 * p + 1), 2)
+def _boundary_terms(m, p, sector):
+    """(bracket index, q-shift, coefficient) of every boundary-sum term."""
+    if sector == "half":
+        return [
+            (2 * kk - 1, -rat(1, m) * (rat(kk) - rat(1, 2) + rat(m, 4)) ** 2,
+             -cyclo.I * cyclo.minus_one_pow(kk))
+            for kk in range(1, p * m + 1)
+        ]
     sign_mp = cyclo.minus_one_pow(m * p)
+    return [
+        (2 * kk, -m * (rat(4 * p + 1, 4) - rat(kk, m)) ** 2,
+         sign_mp * cyclo.minus_one_pow(kk))
+        for kk in range(1, (m - 1) // 2 + 1)
+    ] + [
+        (2 * kk, -rat(1, m) * (rat(kk) + rat(m, 4)) ** 2, cyclo.minus_one_pow(kk))
+        for kk in range(1, p * m + 1)
+    ]
+
+
+def _numerator_raw(m, p, sector, order):
+    """F[m, s] of the sector's base s, built with ladder offset p.
+
+    The sectors share one expansion at index alpha = (4p + 1)/4 (half) or
+    (4p - 1)/4 (integer).  The integer sector also twists it by
+    e^{-pi i m/2}, shifts the ratio-pair index by m+1 and the bracket index
+    by m; m is odd there, so its divisor carries the + sign twist.
+    """
+    half = sector == "half"
+    alpha = rat(4 * p + 1 if half else 4 * p - 1, 4)
+    big_m = m + 1
+    eps = 1 if m % 2 else -1
+    idx0 = 2 * m * alpha
+    unit = cyclo.minus_one_pow(m * p)
+    if not half:
+        unit = unit * phase(-rat(m, 4))
+    pair_off, bracket_off = (0, 0) if half else (big_m, m)
     o0 = big_m * _min_coset_abs(idx0 / (2 * big_m)) ** 2
-    pref = -rat(m, big_m) * rat(4 * p + 1, 4) ** 2
+    pref = -rat(m, big_m) * alpha**2
 
     def build_a(k):
         th0_inv = theta_pm(eps, idx0, big_m, k + 2 * o0 + 1).inverse(order=k)
-        s = eta(2, 3, k) * th0_inv * ratio_pair(rat(4 * p + 1, 4) * 2, big_m, k)
-        return s.times_monomial(-cyclo.I * sign_mp)
+        s = eta(2, 3, k) * th0_inv * ratio_pair(2 * alpha + pair_off, big_m, k)
+        return s.times_monomial(-cyclo.I * unit)
 
     total = ensure_order(build_a, order)
 
     def build_b(k):
         kw = k - pref + 2 * o0
-        weights = _triple_sum_weights(m, rat(4 * p + 1, 4), kw)
+        weights = _triple_sum_weights(m, alpha, kw)
         if not weights:
             return Series.zero(k)
         th0_inv = theta_pm(eps, idx0, big_m, kw + 2 * o0 + 1).inverse(order=kw)
         s = Series.zero(kw)
         for kk, w in weights.items():
-            s = s + w * bracket(kk, m, kw)
-        return (s * th0_inv).times_monomial(sign_mp, pref, R0)
+            s = s + w * bracket(kk + bracket_off, m, kw)
+        return (s * th0_inv).times_monomial(unit, pref, R0)
 
     total = total + ensure_order(build_b, order)
 
-    for kk in range(1, p * m + 1):
-        shift = -rat(1, m) * (rat(kk) - rat(1, 2) + rat(m, 4)) ** 2
-        coeff = -cyclo.I * cyclo.minus_one_pow(kk)
-        br = bracket(2 * kk - 1, m, order - shift)
-        total = total + br.times_monomial(coeff, shift, R0)
-    return total
-
-
-def numerator_int(m: int, p: int, order) -> Series:
-    """The integer-sector numerator F[m, 0]; defined for odd m only."""
-    m = int(m)
-    p = int(p)
-    if m < 1:
-        raise ValueError("level m must be a positive integer")
-    if m % 2 == 0:
-        raise ValueError("integer-s numerator undefined for even m")
-    if p < 0:
-        raise ValueError("shift p must be a nonnegative integer")
-    return _cached(
-        ("numi", m, p, rat(order)),
-        lambda: ensure_order(lambda k: _numerator_int_raw(m, p, k), order),
-    )
-
-
-def _numerator_int_raw(m, p, order):
-    big_m = m + 1
-    idx0 = rat(m * (4 * p - 1), 2)
-    sign_mp = cyclo.minus_one_pow(m * p)
-    ph_m = phase(-rat(m, 4))  # e^{-pi i m / 2}
-    o0 = big_m * _min_coset_abs(idx0 / (2 * big_m)) ** 2
-    pref = -rat(m, big_m) * rat(4 * p - 1, 4) ** 2
-
-    def build_a(k):
-        th0_inv = theta_zero_arg(idx0, big_m, k + 2 * o0 + 1).inverse(order=k)
-        s = eta(2, 3, k) * th0_inv * ratio_pair(
-            rat(4 * p - 1, 4) * 2 + big_m, big_m, k
-        )
-        return s.times_monomial(-cyclo.I * sign_mp * ph_m)
-
-    total = ensure_order(build_a, order)
-
-    def build_b(k):
-        kw = k - pref + 2 * o0
-        weights = _triple_sum_weights(m, rat(4 * p - 1, 4), kw)
-        if not weights:
-            return Series.zero(k)
-        th0_inv = theta_zero_arg(idx0, big_m, kw + 2 * o0 + 1).inverse(order=kw)
-        s = Series.zero(kw)
-        for kk, w in weights.items():
-            s = s + w * bracket(kk + m, m, kw)
-        return (s * th0_inv).times_monomial(sign_mp * ph_m, pref, R0)
-
-    total = total + ensure_order(build_b, order)
-
-    for kk in range(1, (m - 1) // 2 + 1):
-        shift = -m * (rat(4 * p + 1, 4) - rat(kk, m)) ** 2
-        coeff = sign_mp * cyclo.minus_one_pow(kk)
-        br = bracket(2 * kk, m, order - shift)
-        total = total + br.times_monomial(coeff, shift, R0)
-
-    for kk in range(1, p * m + 1):
-        shift = -rat(1, m) * (rat(kk) + rat(m, 4)) ** 2
-        coeff = cyclo.minus_one_pow(kk)
-        br = bracket(2 * kk, m, order - shift)
+    for idx, shift, coeff in _boundary_terms(m, p, sector):
+        br = bracket(idx, m, order - shift)
         total = total + br.times_monomial(coeff, shift, R0)
     return total
 
@@ -383,6 +370,17 @@ def u_basis(m: int, sector: str, order) -> list[Series]:
 
 
 SUPPORTED_CHARACTERS = ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (4, 1), (4, 3))
+
+
+def branching_basis(left, right) -> list:
+    """Supported labels of the summed level whose parity matches the
+    product's; the basis a character product branches over."""
+    lvl = left[0] + right[0]
+    parity = (left[1] + right[1]) % 2
+    return [
+        (lvl, t) for t in range(parity, lvl + 1, 2)
+        if (lvl, t) in SUPPORTED_CHARACTERS
+    ]
 
 
 def character(m: int, m2: int, order) -> Series:

@@ -50,24 +50,46 @@ class ThetaSpec:
 
 
 def _coset_range(n0, aa, bb, order):
-    """Integer offsets k with aa*(n0+k)^2 + bb*(n0+k) < order, widened by 1.
+    """Exactly the integer offsets k with aa*(n0+k)^2 + bb*(n0+k) < order.
 
-    aa > 0, so the admissible set is an interval around the vertex; float
-    bounds are widened by one index on each side and exact exponents are
-    re-checked by the caller.
+    aa > 0, so the admissible set is an interval around the vertex.  Scaled
+    by the common denominator the condition reads a*k^2 + b*k + c < 0 with
+    integers a > 0, b, c, i.e. (2ak + b)^2 < disc = b^2 - 4ac; ``u`` is the
+    largest integer strictly below sqrt(disc), and |2ak + b| <= u.
     """
     if aa <= 0:
         raise ValueError("divergent truncation: quadratic not bounded below")
-    a = float(aa)
-    b = float(bb)
-    c = -float(order)
-    disc = b * b - 4.0 * a * c
-    if disc < 0:
+    qb = 2 * aa * n0 + bb
+    qc = (aa * n0 + bb) * n0 - order
+    scale = math.lcm(aa.denominator, qb.denominator, qc.denominator)
+    a, b, c = (int(x * scale) for x in (aa, qb, qc))
+    disc = b * b - 4 * a * c
+    if disc <= 0:
         return range(0)
-    sq = math.sqrt(disc)
-    lo = (-b - sq) / (2.0 * a) - float(n0)
-    hi = (-b + sq) / (2.0 * a) - float(n0)
-    return range(math.floor(lo) - 1, math.ceil(hi) + 2)
+    u = math.isqrt(disc)
+    if u * u == disc:
+        u -= 1
+    return range(-((u + b) // (2 * a)), (u - b) // (2 * a) + 1)
+
+
+def _coset_sum(n0, aa, bb, order, term) -> Series:
+    """Sum over n = n0 + k of coeff * q^{aa n^2 + bb n} zeta^zexp below
+    ``order``, where ``term(k, n)`` gives (zexp, coeff)."""
+    terms: dict = {}
+    for k in _coset_range(n0, aa, bb, order):
+        n = n0 + k
+        qexp = n * (aa * n + bb)
+        if qexp >= order:
+            continue
+        zexp, coeff = term(k, n)
+        key = (qexp, zexp)
+        cur = terms.get(key)
+        s = coeff if cur is None else cur + coeff
+        if s.is_zero():
+            terms.pop(key, None)
+        else:
+            terms[key] = s
+    return Series(terms, order, _normalized=True)
 
 
 def theta(spec: ThetaSpec, order) -> Series:
@@ -93,22 +115,10 @@ def theta(spec: ThetaSpec, order) -> Series:
                 f"phase outside Q(zeta_8): theta index {j}, degree {m}, "
                 f"constant shift {c}"
             )
-    n0 = j / (2 * m)
-    terms: dict = {}
-    for k in _coset_range(n0, c1 * m, b * m, order):
-        n = n0 + k
-        qexp = m * n * (c1 * n + b)
-        if qexp >= order:
-            continue
-        coeff = phase(m * n * c) if c else cyclo.ONE
-        key = (qexp, a * m * n)
-        cur = terms.get(key)
-        s = coeff if cur is None else cur + coeff
-        if s.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = s
-    return Series(terms, order, _normalized=True)
+    return _coset_sum(
+        j / (2 * m), c1 * m, b * m, order,
+        lambda k, n: (a * m * n, phase(m * n * c) if c else cyclo.ONE),
+    )
 
 
 def theta_jm(j, m, order) -> Series:
@@ -128,22 +138,10 @@ def theta_pm(sign: int, j, m, order) -> Series:
     j, m, order = rat(j), rat(m), rat(order)
     if m <= 0:
         raise ValueError("theta degree must be positive")
-    n0 = j / (2 * m)
-    terms: dict = {}
-    for k in _coset_range(n0, m, R0, order):
-        n = n0 + k
-        qexp = m * n * n
-        if qexp >= order:
-            continue
-        coeff = cyclo.minus_one_pow(k) if sign < 0 else cyclo.ONE
-        key = (qexp, R0)
-        cur = terms.get(key)
-        s = coeff if cur is None else cur + coeff
-        if s.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = s
-    return Series(terms, order, _normalized=True)
+    return _coset_sum(
+        j / (2 * m), m, R0, order,
+        lambda k, n: (R0, cyclo.minus_one_pow(k) if sign < 0 else cyclo.ONE),
+    )
 
 
 def eta(c, e: int, order) -> Series:

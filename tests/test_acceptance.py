@@ -7,6 +7,7 @@ failure: the denominator provably lives on half-integer elliptic exponents
 assertion is stated faithfully and marked xfail(strict=True).
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -184,6 +185,14 @@ def test_criterion9_eta_oracles_to_order24():
     _line(9, "PASS", "(pentagonal and triple-product oracles to order 24)")
 
 
+# sha256 of the serial `verify --all --format json` report with its
+# "backend" field removed, re-dumped with indent=2; any change to an id,
+# status, certified order or first mismatch changes it
+VERIFY_ALL_SHA256 = (
+    "fbf1537b716bdb3b130e7f8686cd927f890784868d632cad68198a19d77a4340"
+)
+
+
 @pytest.mark.slow
 def test_criterion10_determinism_of_verify_all():
     def run(jobs):
@@ -203,5 +212,8 @@ def test_criterion10_determinism_of_verify_all():
     payload = json.loads(first)
     assert payload["summary"]["fail"] == 0
     assert payload["summary"]["error"] == 0
+    del payload["backend"]
+    digest = hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
+    assert digest == VERIFY_ALL_SHA256, "verify --all report differs from the pin"
     _line(10, "PASS", f"(byte-identical JSON across runs and jobs; "
           f"{payload['summary']['total']} reports)")

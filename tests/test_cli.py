@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
+from thetaq import cli
+from thetaq._rational import rat
 from thetaq.cli import main
+from thetaq.series import InsufficientOrderError
 
 
 def run_cli(*argv, capsys=None):
@@ -113,6 +116,18 @@ def test_config_file(tmp_path, capsys):
     rc, _, err = run_cli("--config", str(bad), "list", capsys=capsys)
     assert rc == 2
     assert "unknown config keys" in err
+
+
+def test_branch_exits_2_when_certification_is_exhausted(capsys, monkeypatch):
+    def always_short(target, basis, order):
+        raise InsufficientOrderError("short", max_order=order - rat(1, 8))
+
+    monkeypatch.setattr(cli, "decompose", always_short)
+    rc, out, err = run_cli("branch", "--left", "1:0", "--right", "1:1",
+                           "--order", "2", capsys=capsys)
+    assert rc == 2
+    assert out == ""
+    assert "could not certify" in err
 
 
 def test_invalid_order(capsys):

@@ -115,6 +115,7 @@ def test_under_determined_flagged_for_duplicate_basis():
     dec = decompose(b, [b, b], 4)
     assert dec.status == "under-determined"
     assert dec.residual.is_zero_series()
+    assert membership(b, [b, b], 4) == (False, None)
     total = Series.zero(rat(4))
     for c in dec.coefficients:
         total = total + c * b

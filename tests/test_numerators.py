@@ -1,9 +1,13 @@
+import hashlib
+import json
+
 import pytest
 
 from thetaq._rational import rat
 from thetaq import cyclo
 from thetaq.numerators import (
     DegenerateDivisorError,
+    certify,
     character,
     denominator_z_coset,
     derived_denominator,
@@ -16,7 +20,7 @@ from thetaq.numerators import (
     u_basis,
     undivided_half_combination,
 )
-from thetaq.series import Series
+from thetaq.series import InsufficientOrderError, Series
 from thetaq.thetalib import bracket, eta, theta_jm
 
 from conftest import assert_equal_series
@@ -150,3 +154,54 @@ def test_brackets_cached_consistently():
     a = ensure_order(lambda t: bracket(1, 2, t), 5)
     b = bracket(1, 2, 5)
     assert_equal_series(a, b, 5)
+
+
+def _short_attempt(gap, shortfalls):
+    """An attempt whose first ``shortfalls`` calls fall ``gap`` short of 3."""
+    calls = []
+
+    def attempt(k):
+        calls.append(k)
+        if len(calls) <= shortfalls:
+            raise InsufficientOrderError("short", max_order=rat(3) - gap)
+        return k
+
+    return attempt, calls
+
+
+@pytest.mark.parametrize("gap,boost", [(rat(1, 8), rat(1, 2)),
+                                       (rat(3, 4), rat(3, 4))])
+def test_certify_boosts_by_shortfall_at_least_half(gap, boost):
+    attempt, calls = _short_attempt(gap, 1)
+    assert certify(attempt, rat(3)) == 3 + boost
+    assert calls == [3, 3 + boost]
+
+
+def test_certify_gives_up_after_six_shortfalls():
+    attempt, calls = _short_attempt(rat(1, 8), 6)
+    with pytest.raises(InsufficientOrderError):
+        certify(attempt, rat(3))
+    assert len(calls) == 6
+
+
+# sha256 of json_obj() (sorted keys, compact separators) of the sector base
+# at p = 0, order 4.  Unlike the p-independence checks these also catch an
+# error that is the same for every p.
+NUMERATOR_SHA256 = {
+    ("half", 1): "aabb10095e6f4d95385b9241f48a2276e3c5f8719c7803b8e9b2bcf6ae16283d",
+    ("half", 2): "f7c82c3bce6cbf4b2f6abbb561cf672e2cc263701cf6643c47314c86a029b3a3",
+    ("half", 3): "b9abae2ffbefde5690884f37cd52ba0f86fb30968630b9ca13059cc9e3baa122",
+    ("half", 4): "35bee6d140ae3fe49dfbecf0be9fb4f634bcf7aa6ae6adcf81e9a83af1a916aa",
+    ("half", 5): "2f655bb5f5373fab05a641e35d4bb128d1673ba560d1e7c76761abde432af492",
+    ("int", 1): "209bac147394edfc67aa2af7b780754684820ab9968002c38abfb9aaca857d3d",
+    ("int", 3): "9207a6937b0265413297acc7d5a865e5d3e115ad01e7b76218f714e79aab245f",
+    ("int", 5): "9be569bba27d891b33e5cc060278368a8d762802e1aed46cc837856148135e2e",
+}
+
+
+@pytest.mark.parametrize("sector,m", sorted(NUMERATOR_SHA256))
+def test_numerator_golden_digest(sector, m):
+    build = numerator_half if sector == "half" else numerator_int
+    text = json.dumps(build(m, 0, 4).json_obj(), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == NUMERATOR_SHA256[sector, m]

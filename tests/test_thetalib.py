@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetaq._rational import rat
 from thetaq import cyclo
@@ -6,6 +10,7 @@ from thetaq.cyclo import PhaseError, phase
 from thetaq.series import Series
 from thetaq.thetalib import (
     ThetaSpec,
+    _coset_range,
     bracket,
     eta,
     eta_cube_jacobi,
@@ -156,3 +161,23 @@ def test_shifted_theta_keeps_quadratic_bounded():
     assert t.cutoff == 2
     assert all(q < 2 for q, _ in t.terms)
     assert t.ord < 0  # the shift pushes the minimum below zero
+
+
+def _rats(lo, hi, dmax):
+    return st.builds(rat, st.integers(lo, hi), st.integers(1, dmax))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rats(-10**4, 10**4, 48), _rats(1, 100, 4), _rats(-200, 200, 8),
+       _rats(-10**3, 10**6, 8), st.none() | st.integers(-50, 50))
+def test_coset_range_matches_brute_force(n0, aa, bb, order, k_edge):
+    if k_edge is not None:  # the quadratic meets the order exactly at k_edge
+        order = aa * (n0 + k_edge) ** 2 + bb * (n0 + k_edge)
+    # aa (x - v)^2 < order + bb^2/(4 aa) about the vertex v = -bb/(2 aa), so
+    # no admissible x lies w or more from v; the scan reaches past that
+    w2 = (order + bb * bb / (4 * aa)) / aa
+    w = math.isqrt(max(math.ceil(w2), 0)) + 1
+    v = -bb / (2 * aa) - n0
+    scan = range(math.floor(v) - w - 1, math.ceil(v) + w + 2)
+    expect = [k for k in scan if aa * (n0 + k) ** 2 + bb * (n0 + k) < order]
+    assert list(_coset_range(n0, aa, bb, order)) == expect
