@@ -1,42 +1,17 @@
-"""Rational-number backend selection.
+"""Exact rationals.
 
-Every exponent and every coefficient component in the package is an exact
-rational built through :func:`rat`.  At import time we pick the fastest
-available implementation:
-
-* ``gmpy2.mpq`` -- GMP-backed, compiled; the default when gmpy2 is importable.
-* ``fractions.Fraction`` -- pure stdlib fallback.
-
-Set ``THETAQ_BACKEND=fraction`` (or ``gmp``) to force a choice; the selected
-name is exported as ``BACKEND`` and reported by the CLI and the benchmark.
-The two backends must never be mixed inside one process.
+Every exponent and every coefficient component in the package is a
+``fractions.Fraction`` built through :func:`rat`.  ``BACKEND`` names the
+type; the CLI's JSON report and the benchmark record it.
 """
 
 from __future__ import annotations
 
-import os
+from fractions import Fraction
 
-_choice = os.environ.get("THETAQ_BACKEND", "").strip().lower()
+BACKEND = "fraction"
 
-if _choice in ("", "gmp", "gmpy", "gmpy2"):
-    try:
-        from gmpy2 import mpq as _ratclass
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _choice:
-            raise
-        from fractions import Fraction as _ratclass
-
-        BACKEND = "fraction"
-elif _choice in ("fraction", "fractions", "pure"):
-    from fractions import Fraction as _ratclass
-
-    BACKEND = "fraction"
-else:
-    raise ValueError(f"unknown THETAQ_BACKEND {_choice!r}")
-
-rat = _ratclass
+rat = Fraction
 
 R0 = rat(0)
 R1 = rat(1)
@@ -46,7 +21,7 @@ INF = float("inf")
 
 
 def rat_from_str(text: str):
-    """Parse "p/q" or "p" into a backend rational (used by CLI/JSON loaders)."""
+    """Parse "p/q" or "p" into a rational (used by CLI/JSON loaders)."""
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
@@ -55,5 +30,5 @@ def rat_from_str(text: str):
 
 
 def rat_str(x) -> str:
-    """Canonical "p/q" (or "p") rendering, identical across backends."""
+    """Canonical "p/q" (or "p") rendering."""
     return str(x)

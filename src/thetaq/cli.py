@@ -27,7 +27,6 @@ from .numerators import (
     branching_basis,
     certify,
     character,
-    ensure_order,
     numerator,
     u_basis,
 )
@@ -218,10 +217,7 @@ def branch_product(left, right, order):
         # head start: a factor of negative order cuts the product's cutoff
         k += rat(1, 2)
         target = character(*left, k) * character(*right, k)
-        basis = [
-            ensure_order(lambda t, lbl=lbl: character(*lbl, t), k)
-            for lbl in basis_labels
-        ]
+        basis = [character(*lbl, k) for lbl in basis_labels]
         return decompose(target, basis, order)
 
     return basis_labels, certify(attempt, order)
@@ -293,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         description="Exact q-series engine: expansion, identity "
         "verification, character branching.",
-        epilog=f"rational backend: {BACKEND}; config file is JSON with keys "
+        epilog="config file is JSON with keys "
         "default_order, output_format, parallelism",
     )
     sub = ap.add_subparsers(dest="command", required=True)

@@ -27,7 +27,7 @@ class CycloNum:
 
     @staticmethod
     def _raw(c0, c1, c2, c3) -> CycloNum:
-        # components must already be backend rationals (hot-path constructor)
+        # components must already be Fractions (hot-path constructor)
         self = CycloNum.__new__(CycloNum)
         self.c = (c0, c1, c2, c3)
         return self

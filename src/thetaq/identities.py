@@ -763,9 +763,7 @@ def _build_s5(reg):
         def alt(order, m=m):
             firsts = [lambda k, m=m: ratio_pair(rat(-1, 2), m + 1, k)]
             brs = [
-                lambda k, m=m, kk=kk: ensure_order(
-                    lambda t, kk=kk: bracket(kk, m, t), k
-                )
+                lambda k, m=m, kk=kk: bracket(kk, m, k)
                 for kk in range(2, m, 2)
             ]
             return firsts + brs
@@ -802,8 +800,7 @@ def _build_s5(reg):
                          f"{sector} span",
                          membership_check(
                              lambda o, j=j, n=n, k=k, m=m:
-                             theta_jm(j, n, o) * ensure_order(
-                                 lambda t, k=k, m=m: bracket(k, m, t), o),
+                             theta_jm(j, n, o) * bracket(k, m, o),
                              _ub(m + n, sector),
                          ))
 

@@ -118,10 +118,12 @@ def _triple_sum_weights(m: int, alpha, bound):
     jmax = js[-1] if js else 0
     acc = {k: {} for k in ks}
 
-    def put(k, ex, coeff):
+    def put(k, ex, sign, turns):
+        # sign * e^{i pi turns/2} at q^ex, multiplied out only below the bound
         assert ex >= jj * jj - g * jj
         if ex >= bound:
             return
+        coeff = sign * phase(rat(turns, 4))
         slot = acc[k]
         cur = slot.get(ex)
         s = coeff if cur is None else cur + coeff
@@ -132,23 +134,20 @@ def _triple_sum_weights(m: int, alpha, bound):
 
     for jj in range(1, jmax + 1):
         sj = cyclo.minus_one_pow(jj)
+        msj = -sj
         jr = rat(jj)
         for k in ks:
             for r in range(1, jj + 1):
                 t = rat(2 * m * r - k)
                 base = jr * jr - t * t / (4 * m)
-                ph_plus = sj * phase(rat(2 * m * r + k, 4))
-                ph_minus = sj * phase(rat(2 * m * r - k, 4))
-                put(k, base + (jr + alpha) * t, ph_plus)
-                put(k, base + (jr - alpha) * t, ph_minus)
+                put(k, base + (jr + alpha) * t, sj, 2 * m * r + k)
+                put(k, base + (jr - alpha) * t, sj, 2 * m * r - k)
             for r in range(0, jj):
                 t = rat(2 * m * r + k)
                 base = jr * jr - t * t / (4 * m)
-                ph_plus = sj * phase(rat(2 * m * r - k, 4))
-                ph_minus = sj * phase(rat(2 * m * r + k, 4))
                 # subtracted double sum
-                put(k, base + (jr + alpha) * t, -ph_plus)
-                put(k, base + (jr - alpha) * t, -ph_minus)
+                put(k, base + (jr + alpha) * t, msj, 2 * m * r - k)
+                put(k, base + (jr - alpha) * t, msj, 2 * m * r + k)
     return {
         k: Series({(ex, R0): c for ex, c in slot.items()}, bound, _normalized=True)
         for k, slot in acc.items()
@@ -207,36 +206,6 @@ def numerator_int(m: int, p: int, order) -> Series:
     return _numerator(m, p, "integer", order)
 
 
-def undivided_half_combination(m: int, p: int, order) -> Series:
-    """The half-sector combination before dividing by the twisted constant:
-
-    ``-i q^{m(p+1/4)^2} eta(2tau)^3 * (ratio pair)
-      + q^{m^2/(m+1) (p+1/4)^2} * (triple sums)``
-
-    Equals the twisted constant times the numerator at shifted arguments;
-    at degenerate (m, p) it must vanish identically, which is the only
-    checkable residue of p-independence there.
-    """
-    m = int(m)
-    p = int(p)
-
-    def build(k):
-        a = eta(2, 3, k) * ratio_pair(rat(4 * p + 1, 4) * 2, m + 1, k)
-        a = a.times_monomial(
-            -cyclo.I, rat(m) * rat(4 * p + 1, 4) ** 2, R0
-        )
-        kw = k - rat(m * m, m + 1) * rat(4 * p + 1, 4) ** 2
-        weights = _triple_sum_weights(m, rat(4 * p + 1, 4), max(kw, k) + 1)
-        s = Series.zero(max(kw, k) + 1)
-        for kk, w in weights.items():
-            s = s + w * bracket(kk, m, max(kw, k) + 1)
-        return a + s.times_monomial(
-            cyclo.ONE, rat(m * m, m + 1) * rat(4 * p + 1, 4) ** 2, R0
-        )
-
-    return ensure_order(build, order)
-
-
 def _boundary_terms(m, p, sector):
     """(bracket index, q-shift, coefficient) of every boundary-sum term."""
     if sector == "half":
@@ -256,50 +225,77 @@ def _boundary_terms(m, p, sector):
     ]
 
 
-def _numerator_raw(m, p, sector, order):
-    """F[m, s] of the sector's base s, built with ladder offset p.
+def _sector_index(p, sector):
+    """alpha = (4p + 1)/4 in the half sector, (4p - 1)/4 in the integer one."""
+    return rat(4 * p + 1 if sector == "half" else 4 * p - 1, 4)
 
-    The sectors share one expansion at index alpha = (4p + 1)/4 (half) or
-    (4p - 1)/4 (integer).  The integer sector also twists it by
-    e^{-pi i m/2}, shifts the ratio-pair index by m+1 and the bracket index
-    by m; m is odd there, so its divisor carries the + sign twist.
+
+def _undivided(m, p, sector, order):
+    """The sector's expansion with neither the divisor nor the boundary sums:
+
+    ``-i eta(2tau)^3 * (ratio pair)
+      + q^{-m alpha^2/(m+1)} * sum_k W_k [bracket_k]``
+
+    The integer sector shifts the ratio-pair index by m+1 and the bracket
+    index by m.  Each factor is sized from the order of the one it
+    multiplies, so the cutoff is at least ``order`` without reruns.
     """
-    half = sector == "half"
-    alpha = rat(4 * p + 1 if half else 4 * p - 1, 4)
+    alpha = _sector_index(p, sector)
+    big_m = m + 1
+    pair_off, bracket_off = (0, 0) if sector == "half" else (big_m, m)
+    pref = -rat(m, big_m) * alpha**2
+    rp = ratio_pair(2 * alpha + pair_off, big_m, order)
+    total = (eta(2, 3, order - min(rp.ord, R0)) * rp).times_monomial(-cyclo.I)
+    kw = order - pref
+    s = Series.zero(kw)
+    for kk, w in _triple_sum_weights(m, alpha, kw).items():
+        s = s + w * bracket(kk + bracket_off, m, kw - min(w.ord, R0))
+    return total + s.times_monomial(cyclo.ONE, pref, R0)
+
+
+def _numerator_raw(m, p, sector, order):
+    """F[m, s] of the sector's base s, built with ladder offset p: the
+    undivided expansion over the twisted constant of index 2m alpha at
+    degree m+1, plus the boundary sums.
+
+    The integer sector also twists it by e^{-pi i m/2}; m is odd there, so
+    its divisor carries the + sign twist.
+    """
+    alpha = _sector_index(p, sector)
     big_m = m + 1
     eps = 1 if m % 2 else -1
     idx0 = 2 * m * alpha
     unit = cyclo.minus_one_pow(m * p)
-    if not half:
+    if sector != "half":
         unit = unit * phase(-rat(m, 4))
-    pair_off, bracket_off = (0, 0) if half else (big_m, m)
     o0 = big_m * _min_coset_abs(idx0 / (2 * big_m)) ** 2
-    pref = -rat(m, big_m) * alpha**2
-
-    def build_a(k):
-        th0_inv = theta_pm(eps, idx0, big_m, k + 2 * o0 + 1).inverse(order=k)
-        s = eta(2, 3, k) * th0_inv * ratio_pair(2 * alpha + pair_off, big_m, k)
-        return s.times_monomial(-cyclo.I * unit)
-
-    total = ensure_order(build_a, order)
-
-    def build_b(k):
-        kw = k - pref + 2 * o0
-        weights = _triple_sum_weights(m, alpha, kw)
-        if not weights:
-            return Series.zero(k)
-        th0_inv = theta_pm(eps, idx0, big_m, kw + 2 * o0 + 1).inverse(order=kw)
-        s = Series.zero(kw)
-        for kk, w in weights.items():
-            s = s + w * bracket(kk + bracket_off, m, kw)
-        return (s * th0_inv).times_monomial(unit, pref, R0)
-
-    total = total + ensure_order(build_b, order)
-
+    # the inverse has ord -o0: build u o0 higher and size the inverse from
+    # u's order, so the product's cutoff is exactly ``order``
+    u = _undivided(m, p, sector, order + o0)
+    kd = order - u.ord
+    th0_inv = theta_pm(eps, idx0, big_m, kd + 2 * o0 + 1).inverse(order=kd)
+    total = (u * th0_inv).times_monomial(unit)
     for idx, shift, coeff in _boundary_terms(m, p, sector):
         br = bracket(idx, m, order - shift)
         total = total + br.times_monomial(coeff, shift, R0)
     return total
+
+
+def undivided_half_combination(m: int, p: int, order) -> Series:
+    """q^{m alpha^2} times the half-sector expansion before the division by
+    the twisted constant, alpha = (4p+1)/4:
+
+    ``-i q^{m alpha^2} eta(2tau)^3 * (ratio pair)
+      + q^{m^2 alpha^2/(m+1)} * (triple sums)``
+
+    It equals q^{m alpha^2} (-1)^{mp} theta_pm(+-, 2m alpha, m+1) times the
+    numerator less its boundary sums.  At degenerate (m, p) it must vanish
+    identically, which is the only checkable residue of p-independence there.
+    """
+    m = int(m)
+    p = int(p)
+    u = _undivided(m, p, "half", rat(order))
+    return u.times_monomial(cyclo.ONE, m * _sector_index(p, "half") ** 2, R0)
 
 
 def ladder_step(m: int, s, order) -> Series:
@@ -361,10 +357,7 @@ def u_basis(m: int, sector: str, order) -> list[Series]:
         else:
             first = ratio_pair(rat(2 * m + 1, 2), m + 1, order)
             kk = range(2, m, 2)
-        out = [first]
-        for k in kk:
-            out.append(ensure_order(lambda t, k=k: bracket(k, m, t), order))
-        return out
+        return [first] + [bracket(k, m, order) for k in kk]
 
     return _cached(("ubasis", m, sector, order), build)
 

@@ -1,9 +1,12 @@
+import fractions
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import thetaq
 from thetaq import cli
 from thetaq._rational import rat
 from thetaq.cli import main
@@ -145,3 +148,22 @@ def test_console_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert "q^(1/4)" in proc.stdout
+
+
+def test_one_rational_type():
+    assert thetaq.BACKEND == "fraction"
+    assert thetaq.rat is fractions.Fraction
+
+
+@pytest.mark.slow
+def test_backend_variable_is_ignored():
+    # exact rationals are always Fractions; a leftover THETAQ_BACKEND
+    # selects nothing
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetaq.cli", "verify", "--id",
+         "S2.squares.item3", "--format", "json"],
+        capture_output=True, text=True,
+        env={**os.environ, "THETAQ_BACKEND": "gmp"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["backend"] == "fraction"

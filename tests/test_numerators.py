@@ -21,7 +21,7 @@ from thetaq.numerators import (
     undivided_half_combination,
 )
 from thetaq.series import InsufficientOrderError, Series
-from thetaq.thetalib import bracket, eta, theta_jm
+from thetaq.thetalib import bracket, eta, theta_jm, theta_pm
 
 from conftest import assert_equal_series
 
@@ -56,6 +56,22 @@ def test_degenerate_divisor_point():
         numerator_half(2, 2, 4)
     comb = undivided_half_combination(2, 2, 4).restrict(4)
     assert comb.is_zero_series()
+
+
+@pytest.mark.parametrize("m,p", [(1, 0), (2, 0), (3, 1)])
+def test_undivided_relation_away_from_degenerate_points(m, p):
+    # q^{m a^2} (-1)^{mp} theta_pm(+-, 2ma, m+1) (F[m,1/2] - boundary sums),
+    # a = (4p+1)/4, the boundary sums written out from the closed expansion
+    a = rat(4 * p + 1, 4)
+    rest = numerator_half(m, p, 6)
+    for k in range(1, p * m + 1):
+        shift = -(k - rat(1, 2) + rat(m, 4)) ** 2 / m
+        coeff = -cyclo.I * cyclo.minus_one_pow(k)
+        rest = rest - bracket(2 * k - 1, m, 6 - shift).times_monomial(coeff, shift)
+    sign = 1 if m % 2 else -1
+    expected = (theta_pm(sign, 2 * m * a, m + 1, 6) * rest).times_monomial(
+        cyclo.minus_one_pow(m * p), m * a * a)
+    assert_equal_series(undivided_half_combination(m, p, 4), expected, 4)
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
