@@ -30,7 +30,6 @@ from .numerators import (
     certify,
     character,
     derived_denominator,
-    ensure_order,
     ladder_step,
     numerator,
     numerator_half,
@@ -96,21 +95,14 @@ class Report:
 
 
 def equality_check(lhs_builder, rhs_builder):
+    """Builders are run at ``order`` and rebuilt higher on a shortfall."""
+
     def run(order):
-        lhs = ensure_order(lhs_builder, order)
-        rhs = ensure_order(rhs_builder, order)
-        ok, mm = lhs.equal_up_to(rhs, order)
-        return CheckResult("pass" if ok else "fail", order, mm)
+        def attempt(k):
+            ok, mm = lhs_builder(k).equal_up_to(rhs_builder(k), order)
+            return CheckResult("pass" if ok else "fail", order, mm)
 
-    return run
-
-
-def zero_check(builder):
-    def run(order):
-        s = ensure_order(builder, order).restrict(order)
-        if s.is_zero_series():
-            return CheckResult("pass", order)
-        return CheckResult("fail", order, min(s.terms))
+        return certify(attempt, order)
 
     return run
 
@@ -120,9 +112,7 @@ def membership_check(target_builder, basis_builder):
 
     def run(order):
         def attempt(k):
-            t = ensure_order(target_builder, k)
-            basis = [ensure_order(b, k) for b in basis_builder(k)]
-            ok, wit = membership(t, basis, order)
+            ok, wit = membership(target_builder(k), basis_builder(k), order)
             return CheckResult("pass" if ok else "fail", order, wit)
 
         return certify(attempt, order)
@@ -135,8 +125,7 @@ def span_check(a_builder, b_builder):
 
     def run(order):
         def attempt(k):
-            fam_a = [ensure_order(b, k) for b in a_builder(k)]
-            fam_b = [ensure_order(b, k) for b in b_builder(k)]
+            fam_a, fam_b = a_builder(k), b_builder(k)
             for xs, ys in ((fam_a, fam_b), (fam_b, fam_a)):
                 for x in xs:
                     ok, wit = membership(x, ys, order)
@@ -675,31 +664,17 @@ def _build_s4(reg):
 
 
 def _ub(m, sector):
-    """Deferred u-basis: a list of per-element builders."""
-    if sector == "half":
-        n_el = 1 + len(range(1, m, 2))
-    else:
-        n_el = 1 + len(range(2, m, 2))
-
-    def b(order):
-        return [
-            lambda k, i=i, m=m, sector=sector: u_basis(m, sector, k)[i]
-            for i in range(n_el)
-        ]
-
-    return b
+    return lambda k: u_basis(m, sector, k)
 
 
 def _vgens(m, sector):
-    def b(order):
-        out = []
-        s = rat(1, 2) if sector == "half" else rat(1)
-        while s <= rat(m + 1, 2):
-            out.append(lambda k, m=m, s=s: numerator(m, s, k))
-            s += 1
-        return out
-
-    return b
+    """Deferred numerator family F[m, s], s <= (m+1)/2 in the sector."""
+    ss = []
+    s = rat(1, 2) if sector == "half" else rat(1)
+    while s <= rat(m + 1, 2):
+        ss.append(s)
+        s += 1
+    return lambda k: [numerator(m, s, k) for s in ss]
 
 
 def _generator_multiples_check(factor, m, sector, m2, sector2):
@@ -707,7 +682,7 @@ def _generator_multiples_check(factor, m, sector, m2, sector2):
     sector2 span."""
 
     def run(order):
-        for i in range(len(u_basis(m, sector, rat(2)))):
+        for i in range(len(u_basis(m, sector, order))):
             chk = membership_check(
                 lambda o, i=i: factor(o) * u_basis(m, sector, o)[i],
                 _ub(m2, sector2),
@@ -760,13 +735,10 @@ def _build_s5(reg):
 
     # simpler characterization of the odd-level integer span
     for m in (1, 3):
-        def alt(order, m=m):
-            firsts = [lambda k, m=m: ratio_pair(rat(-1, 2), m + 1, k)]
-            brs = [
-                lambda k, m=m, kk=kk: bracket(kk, m, k)
-                for kk in range(2, m, 2)
+        def alt(k, m=m):
+            return [ratio_pair(rat(-1, 2), m + 1, k)] + [
+                bracket(kk, m, k) for kk in range(2, m, 2)
             ]
-            return firsts + brs
 
         _add(reg, f"S5.simpler.m{m}", "span", 4,
              f"two presentations of the level-{m} integer-sector span",
@@ -974,9 +946,8 @@ def _build_s5(reg):
                      membership_check(
                          lambda o, left=left, right=right:
                          character(*left, o) * character(*right, o),
-                         lambda order, char_basis=tuple(char_basis): [
-                             lambda k, lbl=lbl: character(*lbl, k)
-                             for lbl in char_basis
+                         lambda k, char_basis=tuple(char_basis): [
+                             character(*lbl, k) for lbl in char_basis
                          ],
                      ))
             else:
@@ -1011,15 +982,12 @@ def _build_s5(reg):
          "denominator times even level-2 characters spans the level-2 "
          "numerator family",
          span_check(
-             lambda order: [
-                 lambda k, m2=m2: derived_denominator(k + rat(1, 2))
+             lambda k: [
+                 derived_denominator(k + rat(1, 2))
                  * character(2, m2, k + rat(1, 2))
                  for m2 in (0, 2)
              ],
-             lambda order: [
-                 lambda k, s=s: numerator(2, s, k)
-                 for s in (rat(1, 2), rat(3, 2))
-             ],
+             lambda k: [numerator(2, s, k) for s in (rat(1, 2), rat(3, 2))],
          ))
     _add(reg, "S5.denominator.prop.m1-1", "membership", 4,
          "denominator times the odd level-1 character is proportional to the "
@@ -1027,7 +995,7 @@ def _build_s5(reg):
          membership_check(
              lambda o: derived_denominator(o + rat(1, 2))
              * character(1, 1, o + rat(1, 2)),
-             lambda order: [lambda k: numerator(1, rat(1), k)],
+             lambda k: [numerator(1, rat(1), k)],
          ))
 
 

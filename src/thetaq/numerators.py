@@ -10,7 +10,10 @@ slip.  Sector rule: half-integer s for every level m, integer s only for
 odd m (no base formula exists otherwise).
 
 All builders guarantee ``result.cutoff >= order`` and are memoized; the
-cache is read-concurrent with single-writer insertion.
+cache is read-concurrent with single-writer insertion.  Each builder sizes
+its factors so that one build reaches ``order``, except :func:`character`,
+whose formulas fall 1/24 to 1/8 short; it goes through :func:`ensure_order`,
+an adapter over the retry loop :func:`certify`.
 """
 
 from __future__ import annotations
@@ -37,25 +40,22 @@ def _cached(key, build):
 
 
 def ensure_order(builder, order):
-    """Re-run ``builder`` with boosted internal order until the propagated
-    cutoff covers ``order``.  Converges in one or two tries for every
-    builder here (trust losses are fixed shifts)."""
+    """``builder(order)`` if its cutoff reaches ``order``; otherwise a build
+    boosted by :func:`certify`, restricted to ``order``."""
     order = rat(order)
-    boost = R0
-    for _ in range(8):
-        s = builder(order + boost)
-        if s.cutoff >= order:
-            return s
-        boost += order - s.cutoff
-    raise InsufficientOrderError(
-        f"builder failed to reach trusted order {order}", max_order=s.cutoff
-    )
+
+    def attempt(k):
+        s = builder(k)
+        return s if k == order and s.cutoff >= order else s.restrict(order)
+
+    return certify(attempt, order)
 
 
 def certify(attempt, order):
-    """Run ``attempt(order + boost)`` until it stops raising
-    InsufficientOrderError.  Each shortfall raises the boost by at least 1/2,
-    so retried builds land on orders other attempts share in the cache."""
+    """The one retry loop: run ``attempt(order + boost)`` until it stops
+    raising InsufficientOrderError.  Each shortfall raises the boost by at
+    least 1/2, so retried builds land on orders other attempts share in the
+    cache."""
     boost = R0
     for _ in range(6):
         try:
@@ -72,26 +72,32 @@ def _min_coset_abs(n0):
 
 
 def theta_inv_half(j, order) -> Series:
-    """1 / theta_{j,1}(tau, z) for j = +-1/2 (unit monomial leading layer)."""
+    """1 / theta_{j,1}(tau, z) for j = +-1/2 (unit monomial leading layer).
 
-    def build(k):
-        return theta_jm(j, 1, k + rat(1, 8)).inverse()
-
-    return _cached(("thinv", rat(j), rat(order)), lambda: ensure_order(build, order))
+    theta_{j,1} has ord 1/16 and its inverse loses twice that, so a build
+    1/8 higher lands on ``order``.
+    """
+    order = rat(order)
+    return _cached(
+        ("thinv", rat(j), order),
+        lambda: theta_jm(j, 1, order + rat(1, 8)).inverse(),
+    )
 
 
 def ratio_pair(a, big_m, order) -> Series:
-    """theta_{a,M}/theta_{-1/2,1} - theta_{-a,M}/theta_{1/2,1}."""
+    """theta_{a,M}/theta_{-1/2,1} - theta_{-a,M}/theta_{1/2,1}.
+
+    The inverses have ord -1/16 and the numerators ord >= 0, so factors
+    built 1/16 higher give a product whose cutoff is exactly ``order``.
+    """
     a = rat(a)
     big_m = rat(big_m)
-
-    def build(k):
-        return theta_jm(a, big_m, k) * theta_inv_half(rat(-1, 2), k) - theta_jm(
-            -a, big_m, k
-        ) * theta_inv_half(rat(1, 2), k)
-
+    order = rat(order)
+    k = order + rat(1, 16)
     return _cached(
-        ("rpair", a, big_m, rat(order)), lambda: ensure_order(build, order)
+        ("rpair", a, big_m, order),
+        lambda: theta_jm(a, big_m, k) * theta_inv_half(rat(-1, 2), k)
+        - theta_jm(-a, big_m, k) * theta_inv_half(rat(1, 2), k),
     )
 
 
@@ -187,9 +193,10 @@ def _numerator(m, p, sector, order) -> Series:
             f"twisted constant of index {m}*(4*{p}+1)/2 at degree {m + 1} "
             "vanishes identically; the expansion is undefined at this shift"
         )
+    order = rat(order)
     return _cached(
-        ("numh" if sector == "half" else "numi", m, p, rat(order)),
-        lambda: ensure_order(lambda k: _numerator_raw(m, p, sector, k), order),
+        ("numh" if sector == "half" else "numi", m, p, order),
+        lambda: _numerator_raw(m, p, sector, order),
     )
 
 
@@ -319,24 +326,22 @@ def numerator(m: int, s, order) -> Series:
     half_sector = s.denominator == 2
     if not half_sector and m % 2 == 0:
         raise ValueError("integer-s numerator undefined for even m")
+    order = rat(order)
 
-    def build(k):
-        base_s = rat(1, 2) if half_sector else R0
-        f = (
-            numerator_half(m, 0, k)
-            if half_sector
-            else numerator_int(m, 0, k)
-        )
-        t = base_s
+    def build():
+        if half_sector:
+            f, t = numerator_half(m, 0, order), rat(1, 2)
+        else:
+            f, t = numerator_int(m, 0, order), R0
         while t < s:
-            f = f - ladder_step(m, t, k)
+            f = f - ladder_step(m, t, order)
             t += 1
         while t > s:
             t -= 1
-            f = f + ladder_step(m, t, k)
+            f = f + ladder_step(m, t, order)
         return f
 
-    return _cached(("num", m, s, rat(order)), lambda: ensure_order(build, order))
+    return _cached(("num", m, s, order), build)
 
 
 def u_basis(m: int, sector: str, order) -> list[Series]:
@@ -433,16 +438,15 @@ def derived_denominator(order, require_zfree: bool = False) -> Series:
     turns that structural fact into a hard error for callers that insist
     on a z-free denominator.
     """
+    order = rat(order)
+    k = order + rat(1, 8)
 
     def build():
-        def raw(k):
-            f = numerator_half(1, 0, k + rat(1, 8))
-            th_inv = theta_jm(0, 1, k + rat(1, 8)).inverse(order=k)
-            return (eta(1, 1, k) * f * th_inv).times_monomial(cyclo.MINUS_ONE)
+        th_inv = theta_jm(0, 1, k).inverse(order=order)
+        s = eta(1, 1, order) * numerator_half(1, 0, k) * th_inv
+        return s.times_monomial(cyclo.MINUS_ONE)
 
-        return ensure_order(raw, order)
-
-    r = _cached(("rden", rat(order)), build)
+    r = _cached(("rden", order), build)
     if require_zfree and not r.is_zfree():
         raise DenominatorInconsistency(
             "eta * F[1,1/2] / theta_{0,1} carries half-integer powers of "

@@ -74,10 +74,6 @@ class Series:
     def one(cutoff=INF) -> Series:
         return Series.monomial(cyclo.ONE, cutoff=cutoff)
 
-    @staticmethod
-    def const(r, cutoff=INF) -> Series:
-        return Series.monomial(cyclo.from_rational(r), cutoff=cutoff)
-
     # -- structure ---------------------------------------------------------
 
     def sorted_items(self):
@@ -249,9 +245,6 @@ class Series:
                 acc = acc + power
                 k = power.ord
         return acc.times_monomial(inv_lead, -qa, -za)
-
-    def __truediv__(self, other: Series) -> Series:
-        return self * other.inverse()
 
     def pow(self, n: int) -> Series:
         if n < 0:

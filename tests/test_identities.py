@@ -66,6 +66,19 @@ def test_injected_fault_reports_mismatch():
     assert res.first_mismatch == (3, 0)
 
 
+def test_equality_check_rebuilds_a_short_side():
+    # one side is trusted only 1/24 below the order it is built at
+    orders = []
+
+    def short(o):
+        orders.append(o)
+        return theta_jm(0, 1, o + 1).restrict(o - rat(1, 24))
+
+    res = equality_check(short, lambda o: theta_jm(0, 1, o))(rat(3))
+    assert (res.status, res.certified_order) == ("pass", 3)
+    assert orders == [3, rat(7, 2)]
+
+
 def test_monotone_certification():
     # raising the order never flips trusted terms
     low = run_identity("S2.mumford.item2", 4)

@@ -2,6 +2,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetaq._rational import rat
 from thetaq import cyclo
@@ -17,6 +19,7 @@ from thetaq.numerators import (
     numerator_half,
     numerator_int,
     ratio_pair,
+    theta_inv_half,
     u_basis,
     undivided_half_combination,
 )
@@ -163,7 +166,40 @@ def test_ensure_order_boosts():
         return Series.zero(k - rat(1, 2))
 
     s = ensure_order(lossy, 3)
-    assert s.cutoff >= 3
+    assert s.cutoff == 3
+
+
+def test_ensure_order_restricts_only_boosted_builds():
+    # level 2 reaches its order on the first build and is returned as built;
+    # level 4 falls 1/8 short, is boosted and is restricted back to 4
+    assert character(2, 1, 4).cutoff == rat(193, 48)
+    assert character(4, 1, 4).cutoff == 4
+
+
+_orders = st.integers(48, 384).map(lambda n: rat(n, 48))
+
+
+@settings(max_examples=12, deadline=None)
+@given(_orders)
+def test_builders_land_on_their_order(o):
+    exact = [lambda k, j=j: theta_inv_half(j, k) for j in (rat(1, 2), rat(-1, 2))]
+    exact += [lambda k, a=a, mm=mm: ratio_pair(a, mm, k)
+              for a, mm in ((rat(1, 2), 2), (rat(5, 2), 3), (rat(9, 2), 4))]
+    at_least = [
+        lambda k: numerator_half(2, 0, k),
+        lambda k: numerator_half(3, 1, k),
+        lambda k: numerator_int(3, 0, k),
+        lambda k: numerator(3, rat(5, 2), k),
+        lambda k: numerator(1, rat(-1), k),
+        derived_denominator,
+    ]
+    for build in exact:
+        assert build(o).cutoff == o
+    for build in exact + at_least:
+        s = build(o)
+        assert s.cutoff >= o
+        # the cutoff is not overstated: a higher build agrees below it
+        assert build(o + 1).restrict(s.cutoff) == s
 
 
 def test_brackets_cached_consistently():
