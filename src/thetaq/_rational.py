@@ -1,8 +1,11 @@
 """Exact rationals.
 
-Every exponent and every coefficient component in the package is a
-``fractions.Fraction`` built through :func:`rat`.  ``BACKEND`` names the
-type; the CLI's JSON report and the benchmark record it.
+Every exponent in the package is a ``fractions.Fraction`` built through
+:func:`rat`.  A coefficient component (see :mod:`thetaq.cyclo`) is a
+Python ``int`` when integral and a ``Fraction`` otherwise.  ``rat`` itself
+always returns a ``Fraction``, so an expression such as ``j / (2*m)`` stays
+exact.  ``BACKEND`` names the rational type; the CLI's JSON report and the
+benchmark record it.
 """
 
 from __future__ import annotations

@@ -6,6 +6,13 @@ by w^4 = -1.  Every root-of-unity phase that occurs in the supported
 formulas (quarter turns, eighth turns, alternating signs) lives here; the
 :func:`phase` encoder refuses anything finer rather than approximating.
 
+Components are kept in a canonical form: a Python ``int`` when integral,
+a ``Fraction`` only when its denominator exceeds 1 (inverses of non-units,
+elimination pivots, the 1/2 prefactors).  Most coefficients are small
+integers, so their products and sums stay in ``int`` arithmetic.  An
+``int`` and a ``Fraction`` of equal value compare, hash and print alike,
+so the form never shows in a value.
+
 Values are immutable; ``ZERO``, ``ONE``, ``I`` and the eight units returned
 by :func:`phase` are shared singletons.
 """
@@ -13,6 +20,11 @@ by :func:`phase` are shared singletons.
 from __future__ import annotations
 
 from ._rational import R0, R1, rat
+
+
+def _canon(x):
+    """An integral rational as an ``int``; any other rational unchanged."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class PhaseError(ValueError):
@@ -23,13 +35,17 @@ class CycloNum:
     __slots__ = ("c",)
 
     def __init__(self, c0=R0, c1=R0, c2=R0, c3=R0):
-        self.c = (rat(c0), rat(c1), rat(c2), rat(c3))
+        self.c = tuple(_canon(rat(x)) for x in (c0, c1, c2, c3))
 
     @staticmethod
     def _raw(c0, c1, c2, c3) -> CycloNum:
-        # components must already be Fractions (hot-path constructor)
+        # hot-path constructor: components are ints or Fractions; integral
+        # Fractions are turned into ints to keep the canonical form
         self = CycloNum.__new__(CycloNum)
-        self.c = (c0, c1, c2, c3)
+        if int is type(c0) is type(c1) is type(c2) is type(c3):
+            self.c = (c0, c1, c2, c3)
+        else:
+            self.c = (_canon(c0), _canon(c1), _canon(c2), _canon(c3))
         return self
 
     # -- predicates ------------------------------------------------------

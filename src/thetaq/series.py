@@ -12,6 +12,10 @@ Cutoffs propagate pessimistically:
 * product:  min(a.cutoff + ord(b), b.cutoff + ord(a));
 * inverse:  cutoff - 2*ord.
 
+Products are truncated convolutions.  Inverses use the reciprocal
+recurrence over q-layers in one pass (Brent & Kung, "Fast algorithms for
+manipulating formal power series", J. ACM 25, 1978), not a sum of powers.
+
 ``ord`` here means the smallest stored q-exponent, or the cutoff itself for
 a series with no stored terms (all that is known of such a series is that
 it vanishes below its cutoff).  Exactly known series (monomials, constants,
@@ -21,6 +25,8 @@ Series are immutable values; all operations return new objects.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from . import cyclo
 from ._rational import INF, R0, rat, rat_str
@@ -202,6 +208,11 @@ class Series:
 
         Requires the lowest q-layer to consist of exactly one monomial.  An
         exactly known series (``cutoff = INF``) needs an explicit ``order``.
+
+        With self = M (1 + x), M the leading monomial, the layers of
+        y = 1/(1 + x) follow from the reciprocal recurrence (Brent & Kung,
+        J. ACM 25, 1978): y_0 = 1 and y_e = -sum_{0<k<=e} x_k y_{e-k}, each
+        x_k and y_e a Laurent polynomial in z.  The result is M^{-1} y.
         """
         if not self.terms:
             raise NonUnitLeadingError("cannot invert a series with no terms")
@@ -223,28 +234,50 @@ class Series:
             if order is not None and rat(order) < target:
                 target = rat(order)
         inv_lead = ca.inverse()
-        # self = M (1 + x) with ord(x) > 0; inverse = M^{-1} sum (-x)^k
-        x = {
-            (q - qa, z - za): inv_lead * v
-            for (q, z), v in self.terms.items()
-            if (q, z) != (qa, za)
-        }
-        bound = target + qa  # bound for the geometric part, before shifting
-        x_series = Series(
-            {k: v for k, v in x.items() if k[0] < bound}, bound, _normalized=True
-        )
-        acc = Series.one(bound)
-        if not x_series.is_zero_series():
-            delta = x_series.ord
-            power = Series.one(bound)
-            k = rat(0)
-            while k + delta < bound:
-                power = power._mul_trunc(-x_series, bound)
-                if power.is_zero_series():
+        bound = target + qa  # bound for y, before the shift by M^{-1}
+        minus_inv_lead = -inv_lead
+        layers: dict = {}  # k -> {z: -x coefficient} for 0 < k < bound
+        for (q, z), v in self.terms.items():
+            k = q - qa
+            if 0 < k < bound:
+                layers.setdefault(k, {})[z - za] = minus_inv_lead * v
+        steps = sorted(layers.items())
+        y: dict = {}
+        # only sums of x's exponents can carry a term; visit them in order
+        heap = [R0] if bound > 0 else []
+        seen = set(heap)
+        while heap:
+            e = heapq.heappop(heap)
+            ye = {} if e else {R0: cyclo.ONE}
+            for k, xk in steps:
+                if k > e:
                     break
-                acc = acc + power
-                k = power.ord
-        return acc.times_monomial(inv_lead, -qa, -za)
+                yd = y.get(e - k)
+                if yd is None:
+                    continue
+                for zx, cx in xk.items():
+                    for zy, cy in yd.items():
+                        zz = zx + zy
+                        cur = ye.get(zz)
+                        p = cx * cy
+                        ye[zz] = p if cur is None else cur + p
+            ye = {z: c for z, c in ye.items() if not c.is_zero()}
+            if not ye:
+                continue
+            y[e] = ye
+            for k, _ in steps:
+                nxt = e + k
+                if nxt >= bound:
+                    break
+                if nxt not in seen:
+                    seen.add(nxt)
+                    heapq.heappush(heap, nxt)
+        out = {
+            (e - qa, z - za): inv_lead * c
+            for e, ye in y.items()
+            for z, c in ye.items()
+        }
+        return Series(out, target, _normalized=True)
 
     def pow(self, n: int) -> Series:
         if n < 0:

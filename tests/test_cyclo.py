@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,7 +89,39 @@ def test_random_inverses(rng):
         a = random_cyclo(rng)
         if a.is_zero():
             continue
+        assert_canonical(a.inverse())
         assert a * a.inverse() == cyclo.ONE
+
+
+def assert_canonical(x):
+    """Each component is an int, or a Fraction that is not an integer."""
+    for c in x.c:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), x
+
+
+@settings(max_examples=80, deadline=None)
+@given(cyclos, cyclos, small_rat, st.integers(-8, 8))
+def test_components_stay_canonical(a, b, r, k):
+    results = [a, a + b, a - b, -a, a * b, a.scale(r),
+               cyclo.phase(rat(k, 8)), cyclo.from_rational(r)]
+    results += [a.conj_pow(j) for j in (1, 3, 5, 7)]
+    if not a.is_zero():
+        results.append(a.inverse())
+    for x in results:
+        assert_canonical(x)
+
+
+def test_int_and_fraction_components_are_one_value():
+    assert CycloNum(rat(2)) == CycloNum(2)
+    assert hash(CycloNum(rat(2))) == hash(CycloNum(2))
+    assert CycloNum(rat(4, 2), rat(-1, 2)).c == (2, rat(-1, 2), 0, 0)
+    mixed = CycloNum(rat(3), rat(-1, 2), 0, rat(6, 3))
+    assert str(mixed) == "3 - 1/2*w + 2*w^3"
+    assert mixed.json_list() == ["3", "-1/2", "0", "2"]
+    half = CycloNum(rat(1, 2))
+    assert half.scale(rat(2)) == cyclo.ONE
+    assert_canonical(half.scale(rat(2)))
+    assert_canonical(half + half)
 
 
 def test_str_rendering():

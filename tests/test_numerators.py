@@ -257,3 +257,29 @@ def test_numerator_golden_digest(sector, m):
     text = json.dumps(build(m, 0, 4).json_obj(), sort_keys=True,
                       separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == NUMERATOR_SHA256[sector, m]
+
+
+# sha256 of json_obj() (as above) of large builds, pinned from all-Fraction
+# coefficients and the geometric-series inverse; they check both kernels at
+# orders the registry does not reach.
+HIGH_ORDER_SHA256 = {
+    "theta_inv_half(-1/2, 24)": (
+        lambda: theta_inv_half(rat(-1, 2), 24),
+        "c10a7233e64f100f8cdb65260362faad05988c799c1ff66bb9a1436a47e98714"),
+    "eta(1, -2, 16)": (
+        lambda: eta(1, -2, 16),
+        "30a4a1fcaabbee42b0f5fe66bb4376058c7f1484dba8e14df231f8748f6babc1"),
+    "eta(1/2, -1, 16)": (
+        lambda: eta(rat(1, 2), -1, 16),
+        "4fe407d9c9622d46cfdd0461f7deeac92760b2706471befa46c6a54b842fd075"),
+    "character(4, 1, 16)": (
+        lambda: character(4, 1, 16),
+        "0b62909c6a5ddd98ab24f5461b1c4a05e47edcbbf3d6abf5e8d51ea029dbd34a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HIGH_ORDER_SHA256))
+def test_high_order_golden_digest(name):
+    build, digest = HIGH_ORDER_SHA256[name]
+    text = json.dumps(build().json_obj(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetaq._rational import INF, rat
 from thetaq import cyclo
+from thetaq.cyclo import CycloNum
 from thetaq.series import InsufficientOrderError, NonUnitLeadingError, Series
 from thetaq.thetalib import eta, mumford, theta_jm
 
@@ -76,6 +79,85 @@ def test_inverse_of_exact_needs_order():
         g.inverse()
     inv = g.inverse(order=3)
     assert inv.cutoff == 3
+
+
+def geometric_inverse(s, order=None):
+    """Reference inverse: M^{-1} sum_n (-x)^n for s = M (1 + x), summed one
+    truncated product per power until the next power starts at the bound."""
+    ((qa, za), ca), = s.leading_layer().items()
+    if s.cutoff == INF:
+        target = rat(order)
+    else:
+        target = s.cutoff - 2 * qa
+        if order is not None and rat(order) < target:
+            target = rat(order)
+    inv_lead = ca.inverse()
+    bound = target + qa
+    x_series = Series(
+        {(q - qa, z - za): inv_lead * v for (q, z), v in s.terms.items()
+         if (q, z) != (qa, za) and q - qa < bound},
+        bound, _normalized=True,
+    )
+    acc = Series.one(bound)
+    if not x_series.is_zero_series():
+        delta = x_series.ord
+        power = Series.one(bound)
+        k = rat(0)
+        while k + delta < bound:
+            power = power._mul_trunc(-x_series, bound)
+            if power.is_zero_series():
+                break
+            acc = acc + power
+            k = power.ord
+    return acc.times_monomial(inv_lead, -qa, -za)
+
+
+W = cyclo.phase(rat(1, 8))
+# leading coefficients, all but -1 non-units
+leads = st.sampled_from([CycloNum(2), cyclo.ONE + W, CycloNum(rat(-2, 3)),
+                         cyclo.MINUS_ONE, CycloNum(1, 0, 1, 0)])
+coeffs = st.sampled_from([cyclo.ONE, cyclo.MINUS_ONE, CycloNum(2), W, -W,
+                          CycloNum(rat(1, 2), 0, 0, -1)])
+exps = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def invertible_series(draw):
+    """(s, order): a finite cutoff with no order, a smaller explicit order,
+    an exact series with an order, or an order that leaves nothing below
+    the bound."""
+    qa = draw(exps)
+    za = draw(exps)
+    lead = draw(leads)
+    terms = {(qa, za): lead}
+    for _ in range(draw(st.integers(0, 6))):
+        dq = draw(st.sampled_from([rat(1, 4), rat(1, 2), 1, rat(3, 2), 2]))
+        z = rat(draw(st.integers(-2, 2)), draw(st.sampled_from([1, 2])))
+        # multiples of the leading coefficient by small numbers make the
+        # terms of the inverse cancel often
+        terms[(qa + dq, za + z)] = lead * draw(coeffs)
+    mode = draw(st.sampled_from(["cutoff", "order", "exact", "empty"]))
+    half = st.integers(0, 10).map(lambda n: rat(n, 2))
+    cutoff = INF if mode == "exact" else qa + rat(1, 2) + draw(half)
+    order = {
+        "cutoff": None,
+        "order": cutoff - 2 * qa - rat(1, 2) - draw(half),
+        "exact": -qa + draw(half),
+        "empty": -qa - draw(half),
+    }[mode]
+    return Series(terms, cutoff), order
+
+
+@settings(max_examples=150, deadline=None)
+@given(invertible_series())
+def test_inverse_matches_geometric_reference(case):
+    s, order = case
+    inv = s.inverse(order)
+    ref = geometric_inverse(s, order)
+    assert inv.terms == ref.terms
+    assert inv.cutoff == ref.cutoff
+    prod = s * inv
+    assert_equal_series(prod, Series.one(), prod.cutoff)
 
 
 def test_scale_args():

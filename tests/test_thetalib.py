@@ -108,6 +108,33 @@ def test_eta_cube_jacobi_oracle():
     assert_equal_series(eta(1, 3, 24), eta_cube_jacobi(24), 24)
 
 
+def theta_triple_product(j, m, order):
+    """theta_{j,m} from Jacobi's triple product (needs |j| < m):
+    q^{j^2/4m} z^{j/2} prod_{n>=1} (1 - q^{2mn}) (1 + q^{m(2n-1)+j} z^m)
+    (1 + q^{m(2n-1)-j} z^{-m})."""
+    j, m = rat(j), rat(m)
+    shift = j * j / (4 * m)
+    bound = rat(order) - shift
+    out = Series.one(bound)
+    n = 1
+    while m * (2 * n - 1) - abs(j) < bound:
+        for ex, zx, c in ((2 * m * n, 0, cyclo.MINUS_ONE),
+                          (m * (2 * n - 1) + j, m, cyclo.ONE),
+                          (m * (2 * n - 1) - j, -m, cyclo.ONE)):
+            out = out * Series({(rat(0), rat(0)): cyclo.ONE,
+                                (ex, rat(zx)): c}, bound)
+        n += 1
+    return out.times_monomial(cyclo.ONE, shift, j / 2)
+
+
+@pytest.mark.parametrize("j,m", [(0, 1), (rat(1, 2), 1), (rat(-1, 2), 1),
+                                 (1, 2), (rat(-3, 2), 2), (2, 3)])
+def test_theta_jacobi_triple_product_oracle(j, m):
+    th = theta_jm(j, m, 24)
+    assert th.cutoff == 24
+    assert_equal_series(th, theta_triple_product(j, m, 24), 24)
+
+
 def test_eta_inverse_cancels():
     prod = eta(1, -1, 10) * eta(1, 1, 10)
     assert_equal_series(prod, Series.one(), prod.cutoff)
