@@ -86,7 +86,7 @@ def _emit_series(s: Series, fmt: str):
     elif fmt == "markdown":
         print("| qexp | zexp | coefficient |")
         print("| --- | --- | --- |")
-        for (q, z), c in s.sorted_items():
+        for q, z, c in s.monomials():
             print(f"| {rat_str(q)} | {rat_str(z)} | {c} |")
     else:
         print(s.text())

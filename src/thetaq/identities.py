@@ -639,7 +639,8 @@ def _pindep_case(m: int, sector: str):
                     return CheckResult("fail", order, (R0, R0))
                 comb = undivided_half_combination(m, p, order).restrict(order)
                 if not comb.is_zero_series():
-                    return CheckResult("fail", order, min(comb.terms))
+                    q, z, _ = comb.monomials()[0]
+                    return CheckResult("fail", order, (q, z))
                 continue
             series[p] = build(m, p, order)
         base = series[0]
@@ -968,7 +969,7 @@ def _build_s5(reg):
         r = derived_denominator(order)
         bad = [
             (q, z)
-            for (q, z) in r.terms
+            for q, z, _ in r.monomials()
             if (2 * z).denominator != 1 or int(2 * z) % 2 == 0
         ]
         if bad:

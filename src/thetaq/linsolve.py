@@ -12,17 +12,18 @@ basis elements until a fixpoint, inside the window
 ``[min interacting ord - 1,  order - ord(basis_i))``.  The window floor is
 a fixed one-unit pad, so results are deterministic; soundness never depends
 on it because the candidate solution is always re-multiplied and the
-residual checked term by term.
+residual checked term by term.  The search and the linear system work on
+integer exponents over one denominator shared by the target and the basis
+(:func:`thetaq.series.align`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from ._rational import INF, rat, rat_str
-from .series import InsufficientOrderError, Series
-
-FLOOR_PAD = rat(1)
+from .series import InsufficientOrderError, Series, align
 
 
 @dataclass
@@ -54,31 +55,37 @@ class Decomposition:
         }
 
 
-def _zmap(series: Series):
+def _zmap(row):
     out: dict = {}
-    for (q, z), _ in series.sorted_items():
+    for q, z, _ in row:
         out.setdefault(z, []).append(q)
     return out
 
 
-def _supports(target: Series, basis: list[Series], order):
-    """Candidate coefficient q-exponents per basis element (see module doc)."""
-    zmaps = [_zmap(b) for b in basis]
-    ords = [b.ord for b in basis]
-    his = [order - o for o in ords]
-    interacting = [target.ord] + ords
-    floor = min(interacting) - FLOOR_PAD
-    sets: list[set] = [set() for _ in basis]
-    work: list[tuple[int, object]] = []
+def _supports(target_row, basis_rows, hi, den):
+    """Candidate coefficient q-exponents per basis element (see module doc).
+
+    The rows and the window top ``hi`` are :func:`thetaq.series.align`
+    output, so every exponent is an int over ``den``.  A basis element
+    without terms gets no candidates, and a target without terms below
+    ``hi`` gives none at all.
+    """
+    seeds = [(q, z) for q, z, _ in target_row if q < hi]
+    if not seeds:
+        return [[] for _ in basis_rows]
+    zmaps = [_zmap(r) for r in basis_rows]
+    sets: list[set] = [set() for _ in basis_rows]
+    ords = [r[0][0] if r else None for r in basis_rows]
+    his = [None if o is None else hi - o for o in ords]
+    floor = min([target_row[0][0]] + [o for o in ords if o is not None]) - den
+    work: list[tuple[int, int]] = []
 
     def add(i, e):
         if floor - ords[i] <= e < his[i] and e not in sets[i]:
             sets[i].add(e)
             work.append((i, e))
 
-    for (qt, zt), _ in target.sorted_items():
-        if qt >= order:
-            continue
+    for qt, zt in seeds:
         for i, zm in enumerate(zmaps):
             for qs in zm.get(zt, ()):
                 add(i, qt - qs)
@@ -104,11 +111,16 @@ def _supports(target: Series, basis: list[Series], order):
         diffs[key] = got
         return got
 
-    nb = len(basis)
+    nb = len(basis_rows)
     while work:
         i, e = work.pop()
         for j in range(nb):
-            for d in diff_set(i, j):
+            ds = diff_set(i, j)
+            if not ds:
+                continue
+            # only the differences that land in basis j's window
+            lo = bisect_left(ds, floor - ords[j] - e)
+            for d in ds[lo:bisect_left(ds, his[j] - e, lo)]:
                 add(j, e + d)
     return [sorted(s) for s in sets]
 
@@ -137,17 +149,19 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
                 max_order=b.cutoff,
             )
 
-    supports = _supports(target, basis, order)
+    den, hi, grid = align([target] + basis, order)
+    brows = grid[1:]
+    supports = _supports(grid[0], brows, hi, den)
     cols = [(i, e) for i, es in enumerate(supports) for e in es]
     col_index = {c: k for k, c in enumerate(cols)}
 
     rows: dict = {}
     for (i, e) in cols:
         ci = col_index[(i, e)]
-        for (q, z), coeff in basis[i].terms.items():
+        for q, z, coeff in brows[i]:
             qq = e + q
-            if qq >= order:
-                continue
+            if qq >= hi:
+                break
             row = rows.setdefault((qq, z), {})
             cur = row.get(ci)
             s = coeff if cur is None else cur + coeff
@@ -156,14 +170,14 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
             else:
                 row[ci] = s
     rhs: dict = {}
-    for (q, z), coeff in target.terms.items():
-        if q < order:
-            rhs[(q, z)] = coeff
-            rows.setdefault((q, z), {})
+    for q, z, coeff in grid[0]:
+        if q >= hi:
+            break
+        rhs[(q, z)] = coeff
+        rows.setdefault((q, z), {})
 
     # forward elimination, rows in ascending monomial order
     pivots: dict = {}  # col -> (creation_index, rowdict, rhsval)
-    zero = None
     for key in sorted(rows):
         row = dict(rows[key])
         rv = rhs.get(key)
@@ -222,8 +236,8 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
         for e in supports[i]:
             v = values.get(col_index[(i, e)])
             if v is not None:
-                terms[(e, rat(0))] = v
-        coeffs.append(Series(terms, order - b.ord, _normalized=True))
+                terms[e] = v
+        coeffs.append(Series.zfree(terms, den, order - b.ord))
 
     certified = min([order, target.cutoff] + [
         b.cutoff + c.ord for b, c in zip(basis, coeffs) if not c.is_zero_series()
@@ -244,16 +258,17 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
     # artifacts (their products straddle the order bound); only deeper free
     # columns signal a genuinely dependent basis
     interior_free = [
-        c
-        for c in cols
-        if col_index[c] not in pivots and c[1] + basis[c[0]].ord < order - 1
+        (i, e)
+        for (i, e) in cols
+        if col_index[(i, e)] not in pivots and e + brows[i][0][0] < hi - den
     ]
     if residual.is_zero_series():
         status = "under-determined" if interior_free else "exact"
         witness = None
     else:
         status = "not-in-span"
-        witness = min(residual.terms)
+        q, z, _ = residual.monomials()[0]
+        witness = (q, z)
     return Decomposition(coeffs, residual, status, order, witness)
 
 

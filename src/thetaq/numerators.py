@@ -178,12 +178,17 @@ def _half_divisor_degenerate(m: int, p: int) -> bool:
     return two_n0.denominator == 1 and int(two_n0) % 2 == 1
 
 
-def _numerator(m, p, sector, order) -> Series:
-    """Validate (m, p) for the sector and return its cached base numerator."""
+def _level(m) -> int:
     m = int(m)
-    p = int(p)
     if m < 1:
         raise ValueError("level m must be a positive integer")
+    return m
+
+
+def _numerator(m, p, sector, order) -> Series:
+    """Validate (m, p) for the sector and return its cached base numerator."""
+    m = _level(m)
+    p = int(p)
     if sector == "integer" and m % 2 == 0:
         raise ValueError("integer-s numerator undefined for even m")
     if p < 0:
@@ -350,7 +355,7 @@ def u_basis(m: int, sector: str, order) -> list[Series]:
     half sector: the 1/2-index ratio pair plus odd-k brackets;
     integer sector: the (m+1/2)-index ratio pair plus even-k brackets.
     """
-    m = int(m)
+    m = _level(m)
     if sector not in ("half", "integer"):
         raise ValueError("sector must be 'half' or 'integer'")
     order = rat(order)
@@ -458,7 +463,7 @@ def derived_denominator(order, require_zfree: bool = False) -> Series:
 def denominator_z_coset(order):
     """Distinct zeta-exponent residues (mod 1) of the derived denominator."""
     r = derived_denominator(order)
-    return sorted({z - (z.numerator // z.denominator) for _, z in r.terms})
+    return sorted({z - z.__floor__() for _, z, _ in r.monomials()})
 
 
 def clear_cache():

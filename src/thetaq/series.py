@@ -6,6 +6,15 @@ exponents and Q(zeta_8) coefficients, together with ``cutoff``: the
 exclusive q-exponent bound below which the stored terms are certified to
 agree with the (usually infinite) series being represented.
 
+Exponents are stored as integers over one per-series denominator ``den``:
+the key ``(q, z)`` stands for ``q^(q/den) * z^(z/den)``.  Every kernel
+(sums, products, inverses, restriction, comparison) works on these ints;
+two series are first aligned on the lcm of their ``den``s, which are
+usually equal.  Fractions appear only at the boundary: the constructors
+that take rational exponents, ``ord``, ``cutoff``, ``terms``,
+:meth:`Series.monomials`, ``text`` and ``json_obj``.  :func:`align` puts
+several series on one grid for :mod:`thetaq.linsolve`.
+
 Cutoffs propagate pessimistically:
 
 * sum:      min of the cutoffs;
@@ -21,12 +30,15 @@ a series with no stored terms (all that is known of such a series is that
 it vanishes below its cutoff).  Exactly known series (monomials, constants,
 polynomial factors) carry ``cutoff = INF``.
 
-Series are immutable values; all operations return new objects.
+Series are immutable values; all operations return new objects.  Equal
+series compare and hash equal whatever their ``den``.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
+from math import gcd, lcm
 
 from . import cyclo
 from ._rational import INF, R0, rat, rat_str
@@ -48,10 +60,76 @@ class NonUnitLeadingError(ValueError):
     """Inversion needs a single-monomial lowest q-layer."""
 
 
+def _grid_bound(x, den):
+    """The least integer n with n/den >= x, so that q/den < x iff q < n."""
+    if x == INF:
+        return INF
+    return -((-x.numerator * den) // x.denominator)
+
+
+def _reduced(t, den):
+    """``(t, den)`` over the smallest denominator that keeps keys integral."""
+    g = gcd(den, *(x for k in t for x in k))
+    if g == 1:
+        return t, den
+    return {(q // g, z // g): v for (q, z), v in t.items()}, den // g
+
+
+def _series(t, den, cutoff) -> Series:
+    """A Series from int-keyed terms over ``den`` (trusted: no zero
+    coefficients, every q-exponent below the cutoff)."""
+    s = Series.__new__(Series)
+    s._t = t
+    s.den = den
+    s.cutoff = cutoff
+    s._sorted = None
+    return s
+
+
+def align(series_list, order):
+    """The terms of several series on one grid.
+
+    Returns ``(den, hi, rows)``: ``den`` is the lcm of their denominators,
+    ``hi`` the least integer with ``hi/den >= order`` (so an exponent
+    ``q/den`` lies below ``order`` iff ``q < hi``), and ``rows[i]`` lists
+    the terms of ``series_list[i]`` as ``(q, z, coeff)`` with exponents
+    ``q/den`` and ``z/den``, ascending.
+    """
+    den = lcm(*(s.den for s in series_list))
+    rows = [[(q, z, c) for (q, z), c in s._items_at(den)] for s in series_list]
+    return den, _grid_bound(order, den), rows
+
+
+class _FractionTerms(Mapping):
+    """Read-only view of a Series' terms keyed by ``(Fraction, Fraction)``
+    exponents; built on first use, except for its length."""
+
+    __slots__ = ("_series", "_dict")
+
+    def __init__(self, series):
+        self._series = series
+        self._dict = None
+
+    def __len__(self):
+        return len(self._series._t)
+
+    def _fractions(self):
+        if self._dict is None:
+            self._dict = {(q, z): c for q, z, c in self._series.monomials()}
+        return self._dict
+
+    def __iter__(self):
+        return iter(self._fractions())
+
+    def __getitem__(self, key):
+        return self._fractions()[key]
+
+
 class Series:
-    __slots__ = ("terms", "cutoff", "_sorted")
+    __slots__ = ("_t", "den", "cutoff", "_sorted")
 
     def __init__(self, terms=None, cutoff=INF, _normalized=False):
+        """Build from ``{(qexp, zexp): coeff}`` with rational exponents."""
         if terms is None:
             terms = {}
         if not _normalized:
@@ -60,7 +138,13 @@ class Series:
                 for k, v in terms.items()
                 if k[0] < cutoff and not v.is_zero()
             }
-        self.terms = terms
+        den = lcm(*{x.denominator for k in terms for x in k})
+        self._t = {
+            (q.numerator * (den // q.denominator),
+             z.numerator * (den // z.denominator)): v
+            for (q, z), v in terms.items()
+        }
+        self.den = den
         self.cutoff = cutoff
         self._sorted = None
 
@@ -68,7 +152,7 @@ class Series:
 
     @staticmethod
     def zero(cutoff=INF) -> Series:
-        return Series({}, cutoff, _normalized=True)
+        return _series({}, 1, cutoff)
 
     @staticmethod
     def monomial(coeff: CycloNum, qexp=R0, zexp=R0, cutoff=INF) -> Series:
@@ -80,32 +164,61 @@ class Series:
     def one(cutoff=INF) -> Series:
         return Series.monomial(cyclo.ONE, cutoff=cutoff)
 
+    @staticmethod
+    def zfree(coeffs: dict, den: int, cutoff) -> Series:
+        """sum of ``coeffs[e] * q^(e/den)``: int exponents, nonzero
+        coefficients, all below ``cutoff``."""
+        return _series({(e, 0): v for e, v in coeffs.items()}, den, cutoff)
+
     # -- structure ---------------------------------------------------------
 
-    def sorted_items(self):
+    def _items(self):
         if self._sorted is None:
-            self._sorted = sorted(self.terms.items())
+            self._sorted = sorted(self._t.items())
         return self._sorted
+
+    def _at(self, den):
+        """The int-keyed terms over ``den``, a multiple of ``self.den``."""
+        if den == self.den:
+            return self._t
+        f = den // self.den
+        return {(q * f, z * f): v for (q, z), v in self._t.items()}
+
+    def _items_at(self, den):
+        """:meth:`_items` over ``den``, a multiple of ``self.den``."""
+        if den == self.den:
+            return self._items()
+        f = den // self.den
+        return [((q * f, z * f), v) for (q, z), v in self._items()]
+
+    @property
+    def terms(self) -> Mapping:
+        """``{(qexp, zexp): coeff}`` with Fraction exponents."""
+        return _FractionTerms(self)
+
+    def monomials(self) -> list:
+        """The terms as ``(qexp, zexp, coeff)``, Fraction exponents,
+        ascending."""
+        den = self.den
+        return [(rat(q, den), rat(z, den), c) for (q, z), c in self._items()]
 
     @property
     def ord(self):
         """Smallest trusted q-exponent (the cutoff itself if no terms)."""
-        if not self.terms:
+        if not self._t:
             return self.cutoff
-        return min(q for q, _ in self.terms)
+        return rat(min(self._t)[0], self.den)
 
     def is_zero_series(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def is_zfree(self) -> bool:
-        return all(z == 0 for _, z in self.terms)
+        return all(z == 0 for _, z in self._t)
 
     def leading_layer(self):
         """All (qexp, zexp) -> coeff at the minimal stored q-exponent."""
-        if not self.terms:
-            return {}
         o = self.ord
-        return {k: v for k, v in self.terms.items() if k[0] == o}
+        return {(q, z): c for q, z, c in self.monomials() if q == o}
 
     def restrict(self, order) -> Series:
         """Drop terms at or above ``order`` and lower the cutoff to it."""
@@ -115,19 +228,20 @@ class Series:
                 f"{self.cutoff}",
                 max_order=self.cutoff,
             )
-        return Series(
-            {k: v for k, v in self.terms.items() if k[0] < order},
-            order,
-            _normalized=True,
+        hi = _grid_bound(order, self.den)
+        return _series(
+            {k: v for k, v in self._t.items() if k[0] < hi}, self.den, order
         )
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: Series) -> Series:
         cut = min(self.cutoff, other.cutoff)
-        out = {k: v for k, v in self.terms.items() if k[0] < cut}
-        for k, v in other.terms.items():
-            if k[0] >= cut:
+        den = lcm(self.den, other.den)
+        hi = _grid_bound(cut, den)
+        out = {k: v for k, v in self._at(den).items() if k[0] < hi}
+        for k, v in other._at(den).items():
+            if k[0] >= hi:
                 continue
             cur = out.get(k)
             s = v if cur is None else cur + v
@@ -135,14 +249,14 @@ class Series:
                 out.pop(k, None)
             else:
                 out[k] = s
-        return Series(out, cut, _normalized=True)
+        return _series(out, den, cut)
 
     def __sub__(self, other: Series) -> Series:
         return self + (-other)
 
     def __neg__(self) -> Series:
-        return Series(
-            {k: -v for k, v in self.terms.items()}, self.cutoff, _normalized=True
+        return _series(
+            {k: -v for k, v in self._t.items()}, self.den, self.cutoff
         )
 
     def __mul__(self, other: Series) -> Series:
@@ -155,12 +269,14 @@ class Series:
         The caller is responsible for ``bound`` not exceeding the trusted
         range; ``__mul__`` passes the propagated cutoff.
         """
-        if not self.terms or not other.terms:
+        if not self._t or not other._t:
             return Series.zero(bound)
+        den = lcm(self.den, other.den)
+        hi = _grid_bound(bound, den)
         out: dict = {}
-        bi = other.sorted_items()
-        for (qa, za), ca in self.sorted_items():
-            qmax = bound - qa
+        bi = other._items_at(den)
+        for (qa, za), ca in self._items_at(den):
+            qmax = hi - qa
             for (qb, zb), cb in bi:
                 if qb >= qmax:
                     break
@@ -172,7 +288,7 @@ class Series:
                     out.pop(k, None)
                 else:
                     out[k] = s
-        return Series(out, bound, _normalized=True)
+        return _series(out, den, bound)
 
     def times_monomial(self, coeff: CycloNum, dq=R0, dz=R0) -> Series:
         """Multiply by an exact monomial (shifts exponents, scales trust)."""
@@ -180,8 +296,15 @@ class Series:
             return Series.zero(INF)
         dq = rat(dq)
         dz = rat(dz)
-        out = {(q + dq, z + dz): coeff * v for (q, z), v in self.terms.items()}
-        return Series(out, self.cutoff + dq, _normalized=True)
+        den = lcm(self.den, dq.denominator, dz.denominator)
+        f = den // self.den
+        sq = dq.numerator * (den // dq.denominator)
+        sz = dz.numerator * (den // dz.denominator)
+        out = {
+            (q * f + sq, z * f + sz): coeff * v
+            for (q, z), v in self._t.items()
+        }
+        return _series(out, den, self.cutoff + dq)
 
     def scale_args(self, cq, cz) -> Series:
         """Exponent rescaling (q, z) -> (cq*q, cz*z); models tau -> cq*tau,
@@ -190,18 +313,21 @@ class Series:
         cz = rat(cz)
         if cq <= 0:
             raise ValueError("q-scale must be positive")
-        out = {(cq * q, cz * z): v for (q, z), v in self.terms.items()}
-        if len(out) != len(self.terms):  # cz == 0 can merge monomials
+        lq = lcm(cq.denominator, cz.denominator)
+        fq = cq.numerator * (lq // cq.denominator)
+        fz = cz.numerator * (lq // cz.denominator)
+        out = {(fq * q, fz * z): v for (q, z), v in self._t.items()}
+        if len(out) != len(self._t):  # cz == 0 can merge monomials
             out = {}
-            for (q, z), v in self.terms.items():
-                k = (cq * q, cz * z)
+            for (q, z), v in self._t.items():
+                k = (fq * q, fz * z)
                 cur = out.get(k)
                 s = v if cur is None else cur + v
                 if s.is_zero():
                     out.pop(k, None)
                 else:
                     out[k] = s
-        return Series(out, cq * self.cutoff, _normalized=True)
+        return _series(*_reduced(out, self.den * lq), cq * self.cutoff)
 
     def inverse(self, order=None) -> Series:
         """Multiplicative inverse up to the propagated trusted order.
@@ -214,15 +340,16 @@ class Series:
         J. ACM 25, 1978): y_0 = 1 and y_e = -sum_{0<k<=e} x_k y_{e-k}, each
         x_k and y_e a Laurent polynomial in z.  The result is M^{-1} y.
         """
-        if not self.terms:
+        if not self._t:
             raise NonUnitLeadingError("cannot invert a series with no terms")
-        lead = self.leading_layer()
+        qa, den = min(self._t)[0], self.den
+        lead = [(k, v) for k, v in self._t.items() if k[0] == qa]
         if len(lead) != 1:
             raise NonUnitLeadingError(
                 "non-unit leading coefficient: lowest q-layer has "
                 f"{len(lead)} monomials"
             )
-        ((qa, za), ca) = next(iter(lead.items()))
+        ((_, za), ca), = lead
         if self.cutoff == INF:
             if order is None:
                 raise ValueError(
@@ -230,25 +357,26 @@ class Series:
                 )
             target = rat(order)
         else:
-            target = self.cutoff - 2 * qa
+            target = self.cutoff - 2 * rat(qa, den)
             if order is not None and rat(order) < target:
                 target = rat(order)
         inv_lead = ca.inverse()
-        bound = target + qa  # bound for y, before the shift by M^{-1}
+        # bound for y, before the shift by M^{-1}
+        bound = _grid_bound(target + rat(qa, den), den)
         minus_inv_lead = -inv_lead
         layers: dict = {}  # k -> {z: -x coefficient} for 0 < k < bound
-        for (q, z), v in self.terms.items():
+        for (q, z), v in self._t.items():
             k = q - qa
             if 0 < k < bound:
                 layers.setdefault(k, {})[z - za] = minus_inv_lead * v
         steps = sorted(layers.items())
         y: dict = {}
         # only sums of x's exponents can carry a term; visit them in order
-        heap = [R0] if bound > 0 else []
+        heap = [0] if bound > 0 else []
         seen = set(heap)
         while heap:
             e = heapq.heappop(heap)
-            ye = {} if e else {R0: cyclo.ONE}
+            ye = {} if e else {0: cyclo.ONE}
             for k, xk in steps:
                 if k > e:
                     break
@@ -277,7 +405,7 @@ class Series:
             for e, ye in y.items()
             for z, c in ye.items()
         }
-        return Series(out, target, _normalized=True)
+        return _series(out, den, target)
 
     def pow(self, n: int) -> Series:
         if n < 0:
@@ -308,38 +436,39 @@ class Series:
                 f"{order}, trusted below {min(self.cutoff, other.cutoff)}",
                 max_order=min(self.cutoff, other.cutoff),
             )
-        keys = set(self.terms) | set(other.terms)
+        den = lcm(self.den, other.den)
+        hi = _grid_bound(order, den)
+        a, b = self._at(den), other._at(den)
         mism = [
-            k
-            for k in keys
-            if k[0] < order and self.terms.get(k) != other.terms.get(k)
+            k for k in a.keys() | b.keys() if k[0] < hi and a.get(k) != b.get(k)
         ]
         if not mism:
             return True, None
-        return False, min(mism)
+        q, z = min(mism)
+        return False, (rat(q, den), rat(z, den))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Series)
-            and self.cutoff == other.cutoff
-            and self.terms == other.terms
-        )
+        if not isinstance(other, Series) or self.cutoff != other.cutoff:
+            return False
+        den = lcm(self.den, other.den)
+        return self._at(den) == other._at(den)
 
     def __hash__(self):
-        return hash((self.cutoff, tuple(self.sorted_items())))
+        t, den = _reduced(self._t, self.den)
+        return hash((self.cutoff, den, tuple(sorted(t.items()))))
 
     # -- rendering ----------------------------------------------------------
 
     def __repr__(self) -> str:
-        n = len(self.terms)
+        n = len(self._t)
         return f"<Series {n} terms, cutoff {self.cutoff}>"
 
     def text(self) -> str:
         """Canonical human-readable form, terms ascending."""
-        if not self.terms:
+        if not self._t:
             return "0"
         parts = []
-        for (q, z), c in self.sorted_items():
+        for q, z, c in self.monomials():
             cs = str(c)
             if ("+" in cs or "-" in cs[1:]) and (q or z):
                 cs = f"({cs})"
@@ -367,7 +496,7 @@ class Series:
         return {
             "terms": [
                 [rat_str(q), rat_str(z), c.json_list()]
-                for (q, z), c in self.sorted_items()
+                for q, z, c in self.monomials()
             ],
             "cutoff": "inf" if self.cutoff == INF else rat_str(self.cutoff),
         }

@@ -50,6 +50,14 @@ def test_expand_ubasis(capsys):
     assert out.count("[") >= 2
 
 
+def test_expand_ubasis_rejects_level_zero(capsys):
+    rc, out, err = run_cli("expand", "ubasis", "--m", "0", "--sector", "half",
+                           "--order", "3", capsys=capsys)
+    assert rc == 2
+    assert out == ""
+    assert "level m must be a positive integer" in err
+
+
 def test_expand_numerator(capsys):
     rc, out, _ = run_cli("expand", "numerator", "--m", "1", "--s", "1/2",
                          "--order", "1", capsys=capsys)

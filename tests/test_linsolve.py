@@ -1,11 +1,21 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thetaq._rational import rat
+from thetaq._rational import INF, rat
 from thetaq import cyclo
-from thetaq.linsolve import decompose, membership, span_equal
-from thetaq.numerators import ensure_order, ratio_pair, u_basis
-from thetaq.series import InsufficientOrderError, Series
-from thetaq.thetalib import bracket, eta, mumford, theta_jm
+from thetaq.cyclo import CycloNum
+from thetaq.linsolve import _supports, decompose, membership, span_equal
+from thetaq.numerators import (
+    SUPPORTED_CHARACTERS,
+    branching_basis,
+    character,
+    ensure_order,
+    ratio_pair,
+    u_basis,
+)
+from thetaq.series import InsufficientOrderError, Series, align
+from thetaq.thetalib import ThetaSpec, bracket, eta, mumford, theta, theta_jm
 
 from conftest import assert_equal_series
 
@@ -149,3 +159,157 @@ def test_decomposition_json_shape():
     assert obj["witness"] is None
     assert isinstance(obj["coefficients"], list)
     assert obj["residual"]["terms"] == []
+
+
+def reference_supports(target, basis, order):
+    """The support search on Fraction exponents, as it stood before the
+    exponents became ints: every difference is walked and then filtered."""
+
+    def zmap(series):
+        out: dict = {}
+        for q, z, _ in series.monomials():
+            out.setdefault(z, []).append(q)
+        return out
+
+    zmaps = [zmap(b) for b in basis]
+    ords = [b.ord for b in basis]
+    his = [order - o for o in ords]
+    floor = min([target.ord] + ords) - 1
+    sets: list[set] = [set() for _ in basis]
+    work = []
+
+    def add(i, e):
+        if floor - ords[i] <= e < his[i] and e not in sets[i]:
+            sets[i].add(e)
+            work.append((i, e))
+
+    for qt, zt, _ in target.monomials():
+        if qt >= order:
+            continue
+        for i, zm in enumerate(zmaps):
+            for qs in zm.get(zt, ()):
+                add(i, qt - qs)
+    diffs: dict = {}
+
+    def diff_set(i, j):
+        if (i, j) not in diffs:
+            diffs[i, j] = sorted({
+                a - b
+                for z, qs_i in zmaps[i].items()
+                for a in qs_i
+                for b in zmaps[j].get(z, ())
+            })
+        return diffs[i, j]
+
+    while work:
+        i, e = work.pop()
+        for j in range(len(basis)):
+            for d in diff_set(i, j):
+                add(j, e + d)
+    return [sorted(s) for s in sets]
+
+
+def int_supports(target, basis, order):
+    den, hi, rows = align([target] + basis, order)
+    return [[rat(e, den) for e in es]
+            for es in _supports(rows[0], rows[1:], hi, den)]
+
+
+def test_supports_match_reference_on_branch_bases():
+    order = rat(6)
+    k = order + rat(1, 2)
+    checked = 0
+    for left in SUPPORTED_CHARACTERS:
+        for right in SUPPORTED_CHARACTERS:
+            labels = branching_basis(left, right)
+            if left > right or not labels:
+                continue
+            target = character(*left, k) * character(*right, k)
+            basis = [character(*lbl, k) for lbl in labels]
+            got = int_supports(target, basis, order)
+            assert got == reference_supports(target, basis, order)
+            assert any(got)
+            checked += 1
+    assert checked >= 5
+
+
+MIXED_DENS = (1, 2, 3, 5, 7)
+small_coeffs = st.sampled_from([cyclo.ONE, cyclo.MINUS_ONE, CycloNum(2),
+                                cyclo.I, CycloNum(rat(1, 2), 0, 0, -1)])
+
+
+@st.composite
+def sparse_series(draw):
+    """Few terms on few z-exponents, so that z-matches are common; may be
+    empty."""
+    q = st.builds(rat, st.integers(-3, 8), st.sampled_from(MIXED_DENS))
+    z = st.sampled_from([rat(0), rat(1, 2), rat(-1, 2), rat(1, 3), rat(2, 5)])
+    terms = draw(st.dictionaries(st.tuples(q, z), small_coeffs, max_size=7))
+    return Series(terms, draw(st.one_of(st.just(INF), st.sampled_from(
+        [rat(13, 2), rat(50, 7), rat(8)]))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_series(), st.lists(sparse_series(), min_size=1, max_size=4),
+       st.builds(rat, st.integers(-2, 6), st.sampled_from(MIXED_DENS)))
+def test_supports_match_reference_on_random_bases(target, basis, order):
+    order = min([order, target.cutoff] + [b.cutoff for b in basis])
+    assert int_supports(target, basis, order) == reference_supports(
+        target, basis, order)
+
+
+def _theta_family(m, qscale, zcoeff, k):
+    # theta_{j,m}, j = -m+1..m, have disjoint z-supports, so they are
+    # independent over z-free series
+    return [theta(ThetaSpec(j, m, qscale=qscale, zcoeff=zcoeff), k)
+            for j in range(-m + 1, m + 1)]
+
+
+@st.composite
+def zfree_combination(draw):
+    """(target, basis, coefficients): an invertible integer mix of theta
+    functions as the basis, and random z-free coefficients with a nonzero
+    constant term on the first element."""
+    m = draw(st.integers(1, 3))
+    qscale = draw(st.sampled_from([1, rat(3, 5), rat(5, 7)]))
+    zcoeff = draw(st.sampled_from([1, rat(1, 3)]))
+    thetas = _theta_family(m, qscale, zcoeff, rat(8))
+    n = draw(st.integers(1, len(thetas)))
+    # unit upper-triangular: invertible over the integers
+    basis = []
+    for i in range(n):
+        b = thetas[i]
+        for j in range(i + 1, len(thetas)):
+            c = draw(st.integers(-2, 2))
+            if c:
+                b = b + thetas[j].times_monomial(cyclo.from_rational(rat(c)))
+        basis.append(b)
+    exps = st.builds(rat, st.integers(0, 8), st.sampled_from(MIXED_DENS))
+    coeffs = []
+    for i in range(n):
+        terms = draw(st.dictionaries(exps, small_coeffs, max_size=3))
+        if i == 0:
+            terms[rat(0)] = draw(small_coeffs)
+        coeffs.append(Series({(q, rat(0)): c for q, c in terms.items()}))
+    target = Series.zero()
+    for c, b in zip(coeffs, basis):
+        target = target + c * b
+    return target, basis, coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(zfree_combination())
+def test_decompose_round_trip(case):
+    target, basis, coeffs = case
+    order = rat(5)
+    dec = decompose(target, basis, order)
+    assert dec.status == "exact"
+    total = Series.zero()
+    for c, b in zip(dec.coefficients, basis):
+        total = total + c * b
+    assert_equal_series(total, target, order, "re-multiplied")
+    for got, drawn in zip(dec.coefficients, coeffs):
+        assert got.is_zfree()
+        assert_equal_series(got, drawn, got.cutoff, "coefficient")
+    dup = decompose(target, basis + [basis[0]], order)
+    assert dup.status == "under-determined"

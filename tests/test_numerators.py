@@ -26,6 +26,7 @@ from thetaq.numerators import (
 from thetaq.series import InsufficientOrderError, Series
 from thetaq.thetalib import bracket, eta, theta_jm, theta_pm
 
+import make_golden_digests
 from conftest import assert_equal_series
 
 
@@ -283,3 +284,14 @@ def test_high_order_golden_digest(name):
     build, digest = HIGH_ORDER_SHA256[name]
     text = json.dumps(build().json_obj(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_golden_digests():
+    """Every build named in make_golden_digests.py still gives the digest
+    pinned in golden_digests.json (see that script)."""
+    pinned = json.loads(make_golden_digests.PATH.read_text())
+    builds = make_golden_digests.builds()
+    assert sorted(builds) == sorted(pinned)
+    changed = [name for name, build in builds.items()
+               if make_golden_digests.digest(build()) != pinned[name]]
+    assert not changed

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,3 +234,135 @@ def test_text_and_json_forms():
     assert Series.zero(rat(2)).text() == "0"
     minus = S([(0, 0, 1), (1, 0, -2)])
     assert minus.text() == "1 - 2 * q^(1)"
+
+
+# -- the int-over-den representation, on exponent denominators (5, 7) that
+# -- the identity registry never produces
+
+MIXED_DENS = (1, 2, 3, 5, 7)
+mixed_q = st.builds(rat, st.integers(-6, 10), st.sampled_from(MIXED_DENS))
+mixed_z = st.builds(rat, st.integers(-4, 4), st.sampled_from(MIXED_DENS))
+mixed_cutoff = st.one_of(st.just(INF), mixed_q.map(lambda q: q + 2))
+
+
+@st.composite
+def mixed_series(draw):
+    terms = draw(st.dictionaries(st.tuples(mixed_q, mixed_z), coeffs,
+                                 max_size=6))
+    return Series(terms, draw(mixed_cutoff))
+
+
+def fraction_sum(a, b):
+    """Reference sum on the Fraction-keyed terms."""
+    cut = min(a.cutoff, b.cutoff)
+    out = {}
+    for terms in (a.terms, b.terms):
+        for k, v in terms.items():
+            if k[0] < cut:
+                out[k] = out[k] + v if k in out else v
+    return {k: v for k, v in out.items() if not v.is_zero()}, cut
+
+
+def fraction_product(a, b):
+    """Reference product on the Fraction-keyed terms, with the propagated
+    cutoff."""
+    cut = min(a.cutoff + b.ord, b.cutoff + a.ord)
+    out = {}
+    for (qa, za), ca in a.terms.items():
+        for (qb, zb), cb in b.terms.items():
+            k = (qa + qb, za + zb)
+            if k[0] < cut:
+                out[k] = out[k] + ca * cb if k in out else ca * cb
+    return {k: v for k, v in out.items() if not v.is_zero()}, cut
+
+
+def test_equal_series_hash_equal_across_denominators():
+    third = Series.monomial(cyclo.ONE, rat(1, 3)) * Series.monomial(
+        cyclo.ONE, rat(2, 3))
+    whole = Series.monomial(cyclo.ONE, 1)
+    assert third.den != whole.den
+    assert third == whole and hash(third) == hash(whole)
+    s = theta_jm(1, 2, 6)
+    back = s.scale_args(rat(3, 7), 1).scale_args(rat(7, 3), 1)
+    assert back == s and hash(back) == hash(s)
+    assert back.json_obj() == s.json_obj()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_series(), mixed_series())
+def test_sum_and_product_match_fraction_reference(a, b):
+    terms, cut = fraction_sum(a, b)
+    assert (a + b).terms == terms and (a + b).cutoff == cut
+    terms, cut = fraction_product(a, b)
+    assert (a * b).terms == terms and (a * b).cutoff == cut
+    assert (a - b) + b == a.restrict(min(a.cutoff, b.cutoff))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_series(), mixed_series(), mixed_series())
+def test_ring_laws_with_cutoffs(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a + b).cutoff == min(a.cutoff, b.cutoff)
+    assert (a * b).cutoff == min(a.cutoff + b.ord, b.cutoff + a.ord)
+    lhs, rhs = (a * b) * c, a * (b * c)
+    assert_equal_series(lhs, rhs, min(lhs.cutoff, rhs.cutoff, 30),
+                        "associativity")
+    lhs, rhs = a * (b + c), a * b + a * c
+    assert_equal_series(lhs, rhs, min(lhs.cutoff, rhs.cutoff, 30),
+                        "distributivity")
+    for s in (a + b, a * b, lhs, rhs):
+        assert all(q < s.cutoff for q, _ in s.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_series(), mixed_series(), mixed_q)
+def test_restrict_and_equal_up_to_agree(a, b, order):
+    order = min(order, a.cutoff, b.cutoff)
+    ra, rb = a.restrict(order), b.restrict(order)
+    assert ra.cutoff == order
+    assert ra.terms == {k: v for k, v in a.terms.items() if k[0] < order}
+    ok, witness = a.equal_up_to(b, order)
+    assert ok == (ra == rb) == (a - b).restrict(order).is_zero_series()
+    mism = [k for k in set(a.terms) | set(b.terms)
+            if k[0] < order and a.terms.get(k) != b.terms.get(k)]
+    assert witness == (min(mism) if mism else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_series(), mixed_q, mixed_z)
+def test_equal_whatever_the_denominator(s, dq, dz):
+    there = s.times_monomial(cyclo.ONE, dq, dz)
+    back = there.times_monomial(cyclo.ONE, -dq, -dz)
+    assert back == s and hash(back) == hash(s)
+    rebuilt = Series(dict(s.terms), s.cutoff)
+    assert rebuilt == s and hash(rebuilt) == hash(s)
+    if s.cutoff != INF:
+        scaled = s.scale_args(rat(3, 7), 1).scale_args(rat(7, 3), 1)
+        assert scaled == s and hash(scaled) == hash(s)
+
+
+def _boundary_exponents(s, other):
+    out = [x for k in s.terms for x in k]
+    out += [x for q, z, _ in s.monomials() for x in (q, z)]
+    out += [x for k in s.leading_layer() for x in k]
+    if s.terms:
+        out.append(s.ord)
+    ok, witness = s.equal_up_to(other, min(s.cutoff, other.cutoff, rat(4)))
+    if not ok:
+        out += list(witness)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_series(), mixed_series())
+def test_boundary_exponents_are_fractions(a, b):
+    for s in (a, a + b, a * b, a.scale_args(rat(2, 5), rat(3, 7)),
+              a.times_monomial(cyclo.ONE, rat(1, 7), rat(-2, 5))):
+        for x in _boundary_exponents(s, b):
+            assert type(x) is Fraction
+            assert type(x / 2) is Fraction  # j / (2*m)-style use stays exact
+    ints = Series({(0, 1): cyclo.ONE, (2, 0): cyclo.MINUS_ONE})
+    assert all(type(x) is Fraction for q, z, _ in ints.monomials()
+               for x in (q, z))
