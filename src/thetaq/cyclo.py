@@ -112,6 +112,13 @@ class CycloNum:
         return CycloNum(*out)
 
     def inverse(self) -> CycloNum:
+        k = _UNIT_TURNS.get(self.c)
+        if k is not None:  # a unit w^k: its inverse is w^-k
+            return _EIGHTH_TURNS[-k % 8]
+        return self._norm_inverse()
+
+    def _norm_inverse(self) -> CycloNum:
+        """The inverse through the field norm, for any nonzero number."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_8)")
         if self.is_rational():
@@ -177,6 +184,8 @@ _EIGHTH_TURNS = (
     CycloNum(R0, R0, -R1),
     CycloNum(R0, R0, R0, -R1),
 )
+
+_UNIT_TURNS = {u.c: k for k, u in enumerate(_EIGHTH_TURNS)}
 
 
 def phase(r) -> CycloNum:

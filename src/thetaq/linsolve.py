@@ -19,6 +19,7 @@ integer exponents over one denominator shared by the target and the basis
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -162,13 +163,8 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
             qq = e + q
             if qq >= hi:
                 break
-            row = rows.setdefault((qq, z), {})
-            cur = row.get(ci)
-            s = coeff if cur is None else cur + coeff
-            if s.is_zero():
-                row.pop(ci, None)
-            else:
-                row[ci] = s
+            # the keys (e + q, z) of one column are distinct
+            rows.setdefault((qq, z), {})[ci] = coeff
     rhs: dict = {}
     for q, z, coeff in grid[0]:
         if q >= hi:
@@ -176,28 +172,32 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
         rhs[(q, z)] = coeff
         rows.setdefault((q, z), {})
 
-    # forward elimination, rows in ascending monomial order
+    # forward elimination, rows in ascending monomial order; a pivot row
+    # holds only columns >= its pivot column, so reducing by the pivots in
+    # ascending column order visits each column once
     pivots: dict = {}  # col -> (creation_index, rowdict, rhsval)
     for key in sorted(rows):
         row = dict(rows[key])
         rv = rhs.get(key)
-        while True:
-            hits = [
-                (pivots[c][0], c) for c in row if c in pivots
-            ]
-            if not hits:
-                break
-            _, c = min(hits)
-            factor = row.pop(c)
+        todo = [c for c in row if c in pivots]
+        heapq.heapify(todo)
+        while todo:
+            c = heapq.heappop(todo)
+            factor = row.pop(c, None)
+            if factor is None:  # cancelled since, or queued twice
+                continue
             _, prow, prv = pivots[c]
             for cc, coeff in prow.items():
                 if cc == c:
                     continue
                 p = factor * coeff
                 cur = row.get(cc)
-                s = -p if cur is None else cur - p
-                if s.is_zero():
-                    row.pop(cc, None)
+                if cur is None:
+                    row[cc] = -p
+                    if cc in pivots:
+                        heapq.heappush(todo, cc)
+                elif (s := cur - p).is_zero():
+                    del row[cc]
                 else:
                     row[cc] = s
             if prv is not None:

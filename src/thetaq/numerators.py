@@ -19,11 +19,18 @@ an adapter over the retry loop :func:`certify`.
 from __future__ import annotations
 
 import threading
+from math import lcm
 
 from . import cyclo
 from ._rational import R0, R1, rat
 from .cyclo import phase
-from .series import InsufficientOrderError, Series
+from .series import (
+    InsufficientOrderError,
+    Series,
+    _grid_bound,
+    _reduced,
+    _series,
+)
 from .thetalib import _coset_range, bracket, eta, mumford, theta_jm, theta_pm
 
 _cache: dict = {}
@@ -108,28 +115,38 @@ def _triple_sum_weights(m: int, alpha, bound):
     ``q^{j^2 - t^2/(4m)} { q^{(j+alpha) t} e^{i pi (2mr+k)/2}
                          + q^{(j-alpha) t} e^{i pi (2mr-k)/2} }``
     (the r-sum over 1..j, subtracted r-sum over 0..j-1 with t = 2mr + k and
-    the two unit phases swapped).  Truncation: every term with index j obeys
-    exponent >= j^2 - 2m*max(alpha,0)*j  (because t <= 2mj and t^2/(4m) <=
-    tj/2), so j stops at the last integer with that quadratic below
-    ``bound``, found exactly; the bound is asserted per term.
+    the two unit phases swapped).  Every exponent is an integer over
+    ``den = lcm(4m, alpha.denominator)``, and the coefficient
+    -+e^{i pi u/2} is the eighth turn w^(2u) or w^(2u+4).
+
+    Truncation: for alpha >= -1/2 (both sectors) every term with index j
+    obeys exponent >= j^2 - 2m*max(alpha,0)*j  (because t <= 2mj and
+    t^2/(4m) <= tj/2), so j stops at the last integer with that quadratic
+    below ``bound``, found exactly by :func:`_coset_range`; the bound is
+    asserted per term, in integers.
     """
     alpha = rat(alpha)
     bound = rat(bound)
     ks = list(range(1, m, 2))
     if not ks:
         return {}
-    a_pos = alpha if alpha > 0 else R0
-    g = 2 * m * a_pos
+    g = 2 * m * max(alpha, R0)
     js = _coset_range(R0, R1, -g, bound)
     jmax = js[-1] if js else 0
+    den = lcm(4 * m, alpha.denominator)
+    al = alpha.numerator * (den // alpha.denominator)
+    gd = 2 * m * max(al, 0)  # g over den
+    tden = den // (4 * m)  # t^2/(4m) over den
+    hi = _grid_bound(bound, den)
+    turns = cyclo._EIGHTH_TURNS
     acc = {k: {} for k in ks}
 
-    def put(k, ex, sign, turns):
-        # sign * e^{i pi turns/2} at q^ex, multiplied out only below the bound
-        assert ex >= jj * jj - g * jj
-        if ex >= bound:
+    def put(k, ex, u):
+        # w^u at q^(ex/den), added only below the bound
+        assert ex >= (jj * jj) * den - gd * jj
+        if ex >= hi:
             return
-        coeff = sign * phase(rat(turns, 4))
+        coeff = turns[u % 8]
         slot = acc[k]
         cur = slot.get(ex)
         s = coeff if cur is None else cur + coeff
@@ -139,23 +156,22 @@ def _triple_sum_weights(m: int, alpha, bound):
             slot[ex] = s
 
     for jj in range(1, jmax + 1):
-        sj = cyclo.minus_one_pow(jj)
-        msj = -sj
-        jr = rat(jj)
+        jd = jj * den
+        sj = 4 * (jj % 2)  # (-1)^j = w^(4j)
         for k in ks:
             for r in range(1, jj + 1):
-                t = rat(2 * m * r - k)
-                base = jr * jr - t * t / (4 * m)
-                put(k, base + (jr + alpha) * t, sj, 2 * m * r + k)
-                put(k, base + (jr - alpha) * t, sj, 2 * m * r - k)
+                t = 2 * m * r - k
+                base = jj * jd - t * t * tden
+                put(k, base + (jd + al) * t, sj + 2 * (2 * m * r + k))
+                put(k, base + (jd - al) * t, sj + 2 * (2 * m * r - k))
             for r in range(0, jj):
-                t = rat(2 * m * r + k)
-                base = jr * jr - t * t / (4 * m)
+                t = 2 * m * r + k
+                base = jj * jd - t * t * tden
                 # subtracted double sum
-                put(k, base + (jr + alpha) * t, msj, 2 * m * r - k)
-                put(k, base + (jr - alpha) * t, msj, 2 * m * r + k)
+                put(k, base + (jd + al) * t, sj + 4 + 2 * (2 * m * r - k))
+                put(k, base + (jd - al) * t, sj + 4 + 2 * (2 * m * r + k))
     return {
-        k: Series({(ex, R0): c for ex, c in slot.items()}, bound, _normalized=True)
+        k: _series(*_reduced({(ex, 0): c for ex, c in slot.items()}, den), bound)
         for k, slot in acc.items()
     }
 

@@ -67,6 +67,12 @@ def _grid_bound(x, den):
     return -((-x.numerator * den) // x.denominator)
 
 
+def _cut(x):
+    """A finite cutoff as a Fraction (an int one would leak floats into
+    ``cutoff / k``); INF unchanged."""
+    return x if type(x) is rat or x == INF else rat(x)
+
+
 def _reduced(t, den):
     """``(t, den)`` over the smallest denominator that keeps keys integral."""
     g = gcd(den, *(x for k in t for x in k))
@@ -145,14 +151,14 @@ class Series:
             for (q, z), v in terms.items()
         }
         self.den = den
-        self.cutoff = cutoff
+        self.cutoff = _cut(cutoff)
         self._sorted = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(cutoff=INF) -> Series:
-        return _series({}, 1, cutoff)
+        return _series({}, 1, _cut(cutoff))
 
     @staticmethod
     def monomial(coeff: CycloNum, qexp=R0, zexp=R0, cutoff=INF) -> Series:
@@ -229,9 +235,8 @@ class Series:
                 max_order=self.cutoff,
             )
         hi = _grid_bound(order, self.den)
-        return _series(
-            {k: v for k, v in self._t.items() if k[0] < hi}, self.den, order
-        )
+        t = {k: v for k, v in self._t.items() if k[0] < hi}
+        return _series(t, self.den, _cut(order))
 
     # -- ring operations ----------------------------------------------------
 

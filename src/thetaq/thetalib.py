@@ -14,6 +14,18 @@ identity registry, which fail under the alternative normalizations):
   ``vartheta_10 = theta_{1,2} + theta_{-1,2}``,
   ``vartheta_11 = i (theta_{1,2} - theta_{-1,2})``;
 * ``eta(c)(tau) = q^{c/24} prod (1 - q^{c n})``.
+
+Every generator works on the integer grid of :mod:`thetaq.series`: it fixes
+one denominator per call, computes each exponent as an integer over it and
+each root-of-unity coefficient as an index into the eighth turns, and hands
+the int-keyed terms to the series directly.  A theta coset n0 + Z is walked
+through the integers N = d0*n, with the exact index range from an integer
+quadratic inequality (:func:`_below`).  The eta product is not multiplied
+out: prod (1 - x^n) is Euler's pentagonal series sum (-1)^k x^{k(3k-1)/2}
+(L. Euler, "Demonstratio theorematis circa ordinem in summis divisorum
+observatum", Novi Comm. Acad. Sci. Petrop. 5, 1760), and its cube is
+Jacobi's series sum (-1)^n (2n+1) x^{n(n+1)/2} (C. G. J. Jacobi, Fundamenta
+nova theoriae functionum ellipticarum, 1829, section 66).
 """
 
 from __future__ import annotations
@@ -23,8 +35,8 @@ from dataclasses import dataclass
 
 from . import cyclo
 from ._rational import R0, R1, rat
-from .cyclo import CycloNum, PhaseError, phase
-from .series import Series
+from .cyclo import CycloNum, PhaseError
+from .series import Series, _grid_bound, _reduced, _series
 
 
 @dataclass(frozen=True)
@@ -49,20 +61,15 @@ class ThetaSpec:
         )
 
 
-def _coset_range(n0, aa, bb, order):
-    """Exactly the integer offsets k with aa*(n0+k)^2 + bb*(n0+k) < order.
+def _below(a, b, c):
+    """Exactly the integers k with a*k^2 + b*k + c < 0, for integers a > 0,
+    b and c.
 
-    aa > 0, so the admissible set is an interval around the vertex.  Scaled
-    by the common denominator the condition reads a*k^2 + b*k + c < 0 with
-    integers a > 0, b, c, i.e. (2ak + b)^2 < disc = b^2 - 4ac; ``u`` is the
-    largest integer strictly below sqrt(disc), and |2ak + b| <= u.
+    The condition reads (2ak + b)^2 < disc = b^2 - 4ac; ``u`` is the largest
+    integer strictly below sqrt(disc), and |2ak + b| <= u.
     """
-    if aa <= 0:
+    if a <= 0:
         raise ValueError("divergent truncation: quadratic not bounded below")
-    qb = 2 * aa * n0 + bb
-    qc = (aa * n0 + bb) * n0 - order
-    scale = math.lcm(aa.denominator, qb.denominator, qc.denominator)
-    a, b, c = (int(x * scale) for x in (aa, qb, qc))
     disc = b * b - 4 * a * c
     if disc <= 0:
         return range(0)
@@ -72,24 +79,52 @@ def _coset_range(n0, aa, bb, order):
     return range(-((u + b) // (2 * a)), (u - b) // (2 * a) + 1)
 
 
-def _coset_sum(n0, aa, bb, order, term) -> Series:
-    """Sum over n = n0 + k of coeff * q^{aa n^2 + bb n} zeta^zexp below
-    ``order``, where ``term(k, n)`` gives (zexp, coeff)."""
+def _coset_range(n0, aa, bb, order):
+    """Exactly the integer offsets k with aa*(n0+k)^2 + bb*(n0+k) < order,
+    for rationals with aa > 0.
+
+    Scaled by the common denominator the condition reads a*k^2 + b*k + c < 0
+    with integers a > 0, b, c, which :func:`_below` solves.
+    """
+    qb = 2 * aa * n0 + bb
+    qc = (aa * n0 + bb) * n0 - order
+    scale = math.lcm(aa.denominator, qb.denominator, qc.denominator)
+    return _below(*(int(x * scale) for x in (aa, qb, qc)))
+
+
+def _coset_sum(n0, aa, bb, zc, order, u0=0, u1=0) -> Series:
+    """Sum over n = n0 + k of w^(u0 + u1*k) q^{aa n^2 + bb n} zeta^{zc n}
+    below ``order``, w = e^{2 pi i/8}.
+
+    With n0 = p0/d0 and N = p0 + k*d0 = d0*n, every exponent is an integer
+    over one ``den``: q = (A*N + B)*N and z = Z*N.  The result is reduced to
+    the smallest such ``den``.
+    """
+    p0, d0 = n0.numerator, n0.denominator
+    ad = aa.denominator * d0 * d0
+    bd, zd = bb.denominator * d0, zc.denominator * d0
+    den = math.lcm(ad, bd, zd)
+    A = aa.numerator * (den // ad)
+    B = bb.numerator * (den // bd)
+    Z = zc.numerator * (den // zd)
+    hi = _grid_bound(order, den)
+    turns = cyclo._EIGHTH_TURNS
     terms: dict = {}
-    for k in _coset_range(n0, aa, bb, order):
-        n = n0 + k
-        qexp = n * (aa * n + bb)
-        if qexp >= order:
+    ks = _below(A * d0 * d0, (2 * A * p0 + B) * d0, (A * p0 + B) * p0 - hi)
+    for k in ks:
+        N = p0 + k * d0
+        q = (A * N + B) * N
+        if q >= hi:
             continue
-        zexp, coeff = term(k, n)
-        key = (qexp, zexp)
+        key = (q, Z * N)
+        coeff = turns[(u0 + u1 * k) % 8]
         cur = terms.get(key)
         s = coeff if cur is None else cur + coeff
         if s.is_zero():
             terms.pop(key, None)
         else:
             terms[key] = s
-    return Series(terms, order, _normalized=True)
+    return _series(*_reduced(terms, den), order)
 
 
 def theta(spec: ThetaSpec, order) -> Series:
@@ -108,17 +143,17 @@ def theta(spec: ThetaSpec, order) -> Series:
         raise ValueError("theta degree must be positive")
     if c1 <= 0:
         raise ValueError("theta q-scale must be positive")
+    u0 = u1 = 0
     if c:
-        # representability of every phase m*n*c, n in j/(2m) + Z
-        if (8 * c * j / 2).denominator != 1 or (8 * c * m).denominator != 1:
+        # the phase of n = j/(2m) + k is e^{2 pi i m n c} = w^(4cj + 8mck)
+        u0, u1 = 4 * c * j, 8 * c * m
+        if u0.denominator != 1 or u1.denominator != 1:
             raise PhaseError(
                 f"phase outside Q(zeta_8): theta index {j}, degree {m}, "
                 f"constant shift {c}"
             )
-    return _coset_sum(
-        j / (2 * m), c1 * m, b * m, order,
-        lambda k, n: (a * m * n, phase(m * n * c) if c else cyclo.ONE),
-    )
+        u0, u1 = int(u0), int(u1)
+    return _coset_sum(j / (2 * m), c1 * m, b * m, a * m, order, u0, u1)
 
 
 def theta_jm(j, m, order) -> Series:
@@ -138,14 +173,47 @@ def theta_pm(sign: int, j, m, order) -> Series:
     j, m, order = rat(j), rat(m), rat(order)
     if m <= 0:
         raise ValueError("theta degree must be positive")
-    return _coset_sum(
-        j / (2 * m), m, R0, order,
-        lambda k, n: (R0, cyclo.minus_one_pow(k) if sign < 0 else cyclo.ONE),
-    )
+    # (-1)^k = w^(4k)
+    return _coset_sum(j / (2 * m), m, R0, R0, order, 0, 4 if sign < 0 else 0)
+
+
+def _euler_power(c, cube, bound) -> Series:
+    """prod_{n>=1} (1 - q^{cn}) below ``bound``, or its cube if ``cube``.
+
+    Euler's pentagonal theorem gives the product as
+    sum_k (-1)^k x^{k(3k-1)/2} over all integers k, and Jacobi's identity
+    its cube as sum_{n>=0} (-1)^n (2n+1) x^{n(n+1)/2}, with x = q^c.  Every
+    exponent is c.numerator times an integer, over c.denominator.
+    """
+    den, cn = c.denominator, c.numerator
+    hi = _grid_bound(bound, den)
+    terms: dict = {}
+    if cube:
+        n = 0
+        while (q := cn * (n * (n + 1) // 2)) < hi:
+            v = 2 * n + 1
+            terms[(q, 0)] = CycloNum._raw(-v if n % 2 else v, 0, 0, 0)
+            n += 1
+    else:
+        terms[(0, 0)] = cyclo.ONE
+        n = 1
+        # k = n and k = -n, the exponent of k = n the smaller
+        while cn * (n * (3 * n - 1) // 2) < hi:
+            sign = cyclo.minus_one_pow(n)
+            for p in (n * (3 * n - 1) // 2, n * (3 * n + 1) // 2):
+                if cn * p < hi:
+                    terms[(cn * p, 0)] = sign
+            n += 1
+    return _series(*_reduced(terms, den), bound)
 
 
 def eta(c, e: int, order) -> Series:
-    """eta(c * tau)^e below ``order`` (negative powers via series inversion)."""
+    """eta(c * tau)^e below ``order``.
+
+    The product prod (1 - q^{cn}) and its cube come from their series
+    (:func:`_euler_power`); other powers are products of those, negative
+    powers their recurrence inverse.
+    """
     c = rat(c)
     order = rat(order)
     if c <= 0:
@@ -155,67 +223,18 @@ def eta(c, e: int, order) -> Series:
     bound = order - shift
     if bound <= 0:
         return Series.zero(order)
-    base = Series.one(bound)
-    n = 1
-    while c * n < bound:
-        factor = Series(
-            {
-                (R0, R0): cyclo.ONE,
-                (c * n, R0): cyclo.MINUS_ONE,
-            },
-            bound,
-            _normalized=True,
-        )
-        base = base._mul_trunc(factor, bound)
-        n += 1
-    if e >= 0:
+    cubes, ones = divmod(abs(e), 3)
+    pw = None
+    for cube, count in ((True, cubes), (False, ones)):
+        if count:
+            f = _euler_power(c, cube, bound)
+            for _ in range(count):
+                pw = f if pw is None else pw._mul_trunc(f, bound)
+    if pw is None:
         pw = Series.one(bound)
-        b = base
-        k = e
-        while k:
-            if k & 1:
-                pw = pw._mul_trunc(b, bound)
-            k >>= 1
-            if k:
-                b = b._mul_trunc(b, bound)
-    else:
-        pw = base.pow(-e).inverse(order=bound)
+    elif e < 0:
+        pw = pw.inverse(order=bound)
     return pw.times_monomial(cyclo.ONE, shift, R0)
-
-
-def eta_pentagonal(order) -> Series:
-    """Independent oracle for eta(tau): q^{1/24} sum (-1)^k q^{k(3k-1)/2}."""
-    order = rat(order)
-    terms: dict = {}
-    k = 0
-    while True:
-        added = False
-        for kk in ((k, -k) if k else (0,)):
-            ex = rat(kk * (3 * kk - 1), 2) + rat(1, 24)
-            if ex < order:
-                terms[(ex, R0)] = cyclo.minus_one_pow(kk)
-                added = True
-        if k and not added:
-            break
-        k += 1
-    return Series(terms, order, _normalized=True)
-
-
-def eta_cube_jacobi(order) -> Series:
-    """Independent oracle for eta(tau)^3: sum (-1)^n (2n+1) q^{n(n+1)/2+1/8}."""
-    order = rat(order)
-    terms: dict = {}
-    n = 0
-    while True:
-        ex = rat(n * (n + 1), 2) + rat(1, 8)
-        if ex >= order:
-            break
-        coeff = cyclo.from_rational(rat(2 * n + 1)).scale(
-            rat(-1) if n % 2 else R1
-        )
-        terms[(ex, R0)] = coeff
-        n += 1
-    return Series(terms, order, _normalized=True)
 
 
 _MUMFORD_PARTS = {

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from thetaq import cyclo
 from thetaq._rational import rat
 from thetaq.cyclo import CycloNum
 from thetaq.series import Series
@@ -30,3 +31,29 @@ def random_series(rng, nterms=5, cutoff=8):
 def assert_equal_series(a, b, order, msg=""):
     ok, mismatch = a.equal_up_to(b, order)
     assert ok, f"{msg} first mismatch at {mismatch}"
+
+
+def eta_product(c, e, order):
+    """eta(c*tau)^e from its defining product: q^{ce/24} times the e-th power
+    of prod (1 - q^{cn}), one binomial factor at a time, below ``order``.
+    The reference for the series construction in ``thetalib.eta``."""
+    c = rat(c)
+    order = rat(order)
+    shift = c * e * rat(1, 24)
+    bound = order - shift
+    if bound <= 0:
+        return Series.zero(order)
+    base = Series.one(bound)
+    n = 1
+    while c * n < bound:
+        factor = Series({(rat(0), rat(0)): cyclo.ONE,
+                         (c * n, rat(0)): cyclo.MINUS_ONE}, bound)
+        base = base._mul_trunc(factor, bound)
+        n += 1
+    if e >= 0:
+        pw = Series.one(bound)
+        for _ in range(e):
+            pw = pw._mul_trunc(base, bound)
+    else:
+        pw = base.pow(-e).inverse(order=bound)
+    return pw.times_monomial(cyclo.ONE, shift, rat(0))

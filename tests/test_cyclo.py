@@ -93,6 +93,19 @@ def test_random_inverses(rng):
         assert a * a.inverse() == cyclo.ONE
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7), cyclos)
+def test_unit_inverse_by_table_equals_norm_inverse(k, x):
+    u = cyclo._EIGHTH_TURNS[k]
+    assert u.inverse() == u._norm_inverse()
+    assert u * u.inverse() == cyclo.ONE
+    # the same unit built from Fraction components takes the table too
+    assert CycloNum(*(rat(c) for c in u.c)).inverse() == u._norm_inverse()
+    if not x.is_zero():
+        assert x.inverse() == x._norm_inverse()
+        assert x * x.inverse() == cyclo.ONE
+
+
 def assert_canonical(x):
     """Each component is an int, or a Fraction that is not an integer."""
     for c in x.c:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from thetaq._rational import rat
 from thetaq import cyclo
+from thetaq.cyclo import phase
 from thetaq.numerators import (
     DegenerateDivisorError,
+    _triple_sum_weights,
     certify,
     character,
     denominator_z_coset,
@@ -24,7 +27,7 @@ from thetaq.numerators import (
     undivided_half_combination,
 )
 from thetaq.series import InsufficientOrderError, Series
-from thetaq.thetalib import bracket, eta, theta_jm, theta_pm
+from thetaq.thetalib import _coset_range, bracket, eta, theta_jm, theta_pm
 
 import make_golden_digests
 from conftest import assert_equal_series
@@ -295,3 +298,74 @@ def test_golden_digests():
     changed = [name for name, build in builds.items()
                if make_golden_digests.digest(build()) != pinned[name]]
     assert not changed
+
+
+def reference_triple_sum_weights(m, alpha, bound):
+    """The Fraction construction of the triple-sum weights that the int one
+    replaced (see ``numerators._triple_sum_weights`` for the terms)."""
+    alpha = rat(alpha)
+    bound = rat(bound)
+    ks = list(range(1, m, 2))
+    if not ks:
+        return {}
+    a_pos = alpha if alpha > 0 else rat(0)
+    g = 2 * m * a_pos
+    js = _coset_range(rat(0), rat(1), -g, bound)
+    jmax = js[-1] if js else 0
+    acc = {k: {} for k in ks}
+
+    def put(k, ex, sign, turns):
+        assert ex >= jj * jj - g * jj
+        if ex >= bound:
+            return
+        coeff = sign * phase(rat(turns, 4))
+        slot = acc[k]
+        cur = slot.get(ex)
+        s = coeff if cur is None else cur + coeff
+        if s.is_zero():
+            slot.pop(ex, None)
+        else:
+            slot[ex] = s
+
+    for jj in range(1, jmax + 1):
+        sj = cyclo.minus_one_pow(jj)
+        msj = -sj
+        jr = rat(jj)
+        for k in ks:
+            for r in range(1, jj + 1):
+                t = rat(2 * m * r - k)
+                base = jr * jr - t * t / (4 * m)
+                put(k, base + (jr + alpha) * t, sj, 2 * m * r + k)
+                put(k, base + (jr - alpha) * t, sj, 2 * m * r - k)
+            for r in range(0, jj):
+                t = rat(2 * m * r + k)
+                base = jr * jr - t * t / (4 * m)
+                put(k, base + (jr + alpha) * t, msj, 2 * m * r - k)
+                put(k, base + (jr - alpha) * t, msj, 2 * m * r + k)
+    return {
+        k: Series({(ex, rat(0)): c for ex, c in slot.items()}, bound,
+                  _normalized=True)
+        for k, slot in acc.items()
+    }
+
+
+def _rat_between(lo, hi):
+    """Rationals in [lo, hi] over denominators up to 48, 5 and 7 among
+    them."""
+    return st.sampled_from([1, 2, 3, 4, 5, 7, 8, 12, 16, 48]).flatmap(
+        lambda d: st.builds(rat, st.integers(math.ceil(lo * d), hi * d),
+                            st.just(d)))
+
+
+# alpha >= -1/2 is the domain of the truncation bound (both sectors'
+# alpha = (4p -+ 1)/4 lie in it)
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 6), _rat_between(rat(-1, 2), 3), _rat_between(-1, 12))
+def test_triple_sum_weights_match_fraction_reference(m, alpha, bound):
+    got = _triple_sum_weights(m, alpha, bound)
+    want = reference_triple_sum_weights(m, alpha, bound)
+    assert sorted(got) == sorted(want)
+    for k in want:
+        assert got[k].terms == want[k].terms
+        assert got[k].cutoff == want[k].cutoff
+        assert got[k].den == want[k].den

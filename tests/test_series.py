@@ -49,6 +49,22 @@ def test_mul_by_one_keeps_terms():
     assert (a * one).cutoff == min(a.cutoff, INF)
 
 
+def test_finite_cutoffs_are_fractions():
+    # an int order must not turn j/(2m)-style arithmetic on cutoffs into floats
+    cases = [
+        theta_jm(0, 1, 6).restrict(4).cutoff / 8,
+        Series.zero(3).ord / 2,
+        Series.one(2).cutoff / 4,
+        Series.monomial(cyclo.ONE, 1, 0, 3).cutoff / 2,
+        Series.monomial(cyclo.ONE, 5, 0, 3).cutoff / 2,
+        S([(1, 0, 1)], cutoff=5).cutoff / 2,
+    ]
+    assert cases == [rat(1, 2), rat(3, 2), rat(1, 2), rat(3, 2), rat(3, 2),
+                     rat(5, 2)]
+    assert all(type(x) is Fraction for x in cases)
+    assert Series.zero().cutoff == INF
+
+
 def test_geometric_inverse():
     g = S([(0, 0, 1), (1, 0, -1)], cutoff=6)
     inv = g.inverse()

@@ -11,10 +11,9 @@ from thetaq.series import Series
 from thetaq.thetalib import (
     ThetaSpec,
     _coset_range,
+    _coset_sum,
     bracket,
     eta,
-    eta_cube_jacobi,
-    eta_pentagonal,
     mumford,
     theta,
     theta_jm,
@@ -22,7 +21,7 @@ from thetaq.thetalib import (
     theta_zero_arg,
 )
 
-from conftest import assert_equal_series
+from conftest import assert_equal_series, eta_product
 
 
 def test_theta_01_defining_sum():
@@ -98,14 +97,14 @@ def test_half_period_parity_split(m, p):
 
 def test_eta_pentagonal_oracle():
     e = eta(1, 1, 13)
-    assert_equal_series(e, eta_pentagonal(13), 13)
+    assert_equal_series(e, eta_product(1, 1, 13), 13)
     coeffs = sorted((q, c.c[0]) for (q, _), c in e.terms.items())
     assert coeffs[0] == (rat(1, 24), 1)
     assert coeffs[1] == (rat(25, 24), -1)
 
 
 def test_eta_cube_jacobi_oracle():
-    assert_equal_series(eta(1, 3, 24), eta_cube_jacobi(24), 24)
+    assert_equal_series(eta(1, 3, 24), eta_product(1, 3, 24), 24)
 
 
 def theta_triple_product(j, m, order):
@@ -133,6 +132,14 @@ def test_theta_jacobi_triple_product_oracle(j, m):
     th = theta_jm(j, m, 24)
     assert th.cutoff == 24
     assert_equal_series(th, theta_triple_product(j, m, 24), 24)
+
+
+@pytest.mark.parametrize("c", [rat(1, 2), 1, 2, rat(2, 5)])
+@pytest.mark.parametrize("e", [1, -1, 2, -2, 3, -3])
+def test_eta_matches_product_form(c, e):
+    got, want = eta(c, e, 24), eta_product(c, e, 24)
+    assert got.cutoff == want.cutoff == 24
+    assert got == want
 
 
 def test_eta_inverse_cancels():
@@ -208,3 +215,50 @@ def test_coset_range_matches_brute_force(n0, aa, bb, order, k_edge):
     scan = range(math.floor(v) - w - 1, math.ceil(v) + w + 2)
     expect = [k for k in scan if aa * (n0 + k) ** 2 + bb * (n0 + k) < order]
     assert list(_coset_range(n0, aa, bb, order)) == expect
+
+
+def reference_coset_sum(n0, aa, bb, order, term):
+    """The Fraction coset sum that the int one replaced: coeff *
+    q^{aa n^2 + bb n} zeta^zexp over n = n0 + k below ``order``, where
+    ``term(k, n)`` gives (zexp, coeff)."""
+    terms: dict = {}
+    for k in _coset_range(n0, aa, bb, order):
+        n = n0 + k
+        qexp = n * (aa * n + bb)
+        if qexp >= order:
+            continue
+        zexp, coeff = term(k, n)
+        key = (qexp, zexp)
+        cur = terms.get(key)
+        s = coeff if cur is None else cur + coeff
+        if s.is_zero():
+            terms.pop(key, None)
+        else:
+            terms[key] = s
+    return Series(terms, order, _normalized=True)
+
+
+# denominators up to 48, with 5 and 7 among them
+_dens = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 35, 48])
+
+
+def _rat_over(lo, hi):
+    return st.builds(rat, st.integers(lo, hi), _dens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rat_over(-400, 400), _rat_over(1, 60), _rat_over(-100, 100),
+       _rat_over(-20, 20), _rat_over(-20, 60), st.none() | st.integers(-6, 6),
+       st.integers(0, 7), st.sampled_from([0, 4]) | st.integers(0, 7))
+def test_coset_sum_matches_fraction_reference(n0, aa, bb, zc, order, k_edge,
+                                              u0, u1):
+    if k_edge is not None:  # the quadratic meets the order exactly at k_edge
+        order = aa * (n0 + k_edge) ** 2 + bb * (n0 + k_edge)
+    got = _coset_sum(n0, aa, bb, zc, order, u0, u1)
+    want = reference_coset_sum(
+        n0, aa, bb, order,
+        lambda k, n: (zc * n, cyclo._EIGHTH_TURNS[(u0 + u1 * k) % 8]),
+    )
+    assert got.terms == want.terms
+    assert got.cutoff == want.cutoff and type(got.cutoff) is type(want.cutoff)
+    assert got.den == want.den
