@@ -25,8 +25,8 @@ from .linsolve import decompose
 from .numerators import (
     SUPPORTED_CHARACTERS,
     branching_basis,
-    certify,
     character,
+    ensure_order,
     numerator,
     u_basis,
 )
@@ -162,7 +162,6 @@ def _report_lines(reports, fmt, timings):
             )
     counts = summarize(reports)
     lines.append(
-        f"{'' if fmt != 'markdown' else ''}"
         f"{counts['pass']} passed, {counts['fail']} failed, "
         f"{counts['error']} errored, {counts['total']} total"
     )
@@ -220,7 +219,7 @@ def branch_product(left, right, order):
         basis = [character(*lbl, k) for lbl in basis_labels]
         return decompose(target, basis, order)
 
-    return basis_labels, certify(attempt, order)
+    return basis_labels, ensure_order(attempt, order)
 
 
 def cmd_branch(args) -> int:

@@ -27,9 +27,9 @@ from .numerators import (
     DegenerateDivisorError,
     _half_divisor_degenerate,
     branching_basis,
-    certify,
     character,
     derived_denominator,
+    ensure_order,
     ladder_step,
     numerator,
     numerator_half,
@@ -51,20 +51,13 @@ from .thetalib import (
 )
 
 
-@dataclass
-class CheckResult:
-    status: str  # pass | fail
-    certified_order: object
-    first_mismatch: tuple | None = None
-
-
 @dataclass(frozen=True)
 class IdentityCase:
     id: str
     kind: str  # equality | p-independence | membership | span | zfree | branching
     default_order: object
     anchor: str
-    run: object  # Callable[[rational], CheckResult]
+    run: object  # order -> (ok, first mismatch or None)
 
 
 @dataclass
@@ -94,48 +87,40 @@ class Report:
 # check constructors
 
 
+def _retried(attempt):
+    """The check ``order -> (ok, first mismatch)`` of ``attempt(k, order)``,
+    which builds its inputs at ``k`` and compares below ``order``; a trust
+    shortfall reruns it at a higher ``k``."""
+    return lambda order: ensure_order(lambda k: attempt(k, order), order)
+
+
 def equality_check(lhs_builder, rhs_builder):
     """Builders are run at ``order`` and rebuilt higher on a shortfall."""
-
-    def run(order):
-        def attempt(k):
-            ok, mm = lhs_builder(k).equal_up_to(rhs_builder(k), order)
-            return CheckResult("pass" if ok else "fail", order, mm)
-
-        return certify(attempt, order)
-
-    return run
+    return _retried(
+        lambda k, order: lhs_builder(k).equal_up_to(rhs_builder(k), order)
+    )
 
 
 def membership_check(target_builder, basis_builder):
     """basis_builder(order) -> list of Series; retried on trust shortfalls."""
-
-    def run(order):
-        def attempt(k):
-            ok, wit = membership(target_builder(k), basis_builder(k), order)
-            return CheckResult("pass" if ok else "fail", order, wit)
-
-        return certify(attempt, order)
-
-    return run
+    return _retried(
+        lambda k, order: membership(target_builder(k), basis_builder(k), order)
+    )
 
 
 def span_check(a_builder, b_builder):
     """Mutual membership of two generating families."""
 
-    def run(order):
-        def attempt(k):
-            fam_a, fam_b = a_builder(k), b_builder(k)
-            for xs, ys in ((fam_a, fam_b), (fam_b, fam_a)):
-                for x in xs:
-                    ok, wit = membership(x, ys, order)
-                    if not ok:
-                        return CheckResult("fail", order, wit)
-            return CheckResult("pass", order)
+    def attempt(k, order):
+        fam_a, fam_b = a_builder(k), b_builder(k)
+        for xs, ys in ((fam_a, fam_b), (fam_b, fam_a)):
+            for x in xs:
+                ok, wit = membership(x, ys, order)
+                if not ok:
+                    return False, wit
+        return True, None
 
-        return certify(attempt, order)
-
-    return run
+    return _retried(attempt)
 
 
 def _e(c, p):
@@ -636,19 +621,19 @@ def _pindep_case(m: int, sector: str):
                 except DegenerateDivisorError:
                     pass
                 else:
-                    return CheckResult("fail", order, (R0, R0))
+                    return False, (R0, R0)
                 comb = undivided_half_combination(m, p, order).restrict(order)
                 if not comb.is_zero_series():
                     q, z, _ = comb.monomials()[0]
-                    return CheckResult("fail", order, (q, z))
+                    return False, (q, z)
                 continue
             series[p] = build(m, p, order)
         base = series[0]
         for p, f in series.items():
             ok, mm = base.equal_up_to(f, order)
             if not ok:
-                return CheckResult("fail", order, mm)
-        return CheckResult("pass", order)
+                return False, mm
+        return True, None
 
     return run
 
@@ -684,13 +669,13 @@ def _generator_multiples_check(factor, m, sector, m2, sector2):
 
     def run(order):
         for i in range(len(u_basis(m, sector, order))):
-            chk = membership_check(
+            ok, wit = membership_check(
                 lambda o, i=i: factor(o) * u_basis(m, sector, o)[i],
                 _ub(m2, sector2),
             )(order)
-            if chk.status != "pass":
-                return chk
-        return CheckResult("pass", order)
+            if not ok:
+                return False, wit
+        return True, None
 
     return run
 
@@ -972,9 +957,7 @@ def _build_s5(reg):
             for q, z, _ in r.monomials()
             if (2 * z).denominator != 1 or int(2 * z) % 2 == 0
         ]
-        if bad:
-            return CheckResult("fail", order, min(bad))
-        return CheckResult("pass", order)
+        return not bad, min(bad, default=None)
 
     _add(reg, "S5.denominator.zcoset", "zfree", 4,
          "derived denominator is supported on half-odd elliptic exponents",
@@ -1031,10 +1014,10 @@ def run_identity(id_: str, order=None) -> Report:
     order = case.default_order if order is None else rat(order)
     t0 = time.perf_counter()
     try:
-        res = case.run(order)
+        ok, mismatch = case.run(order)
         wall = (time.perf_counter() - t0) * 1000.0
-        return Report(case.id, case.kind, res.status, res.certified_order,
-                      res.first_mismatch, wall)
+        return Report(case.id, case.kind, "pass" if ok else "fail", order,
+                      mismatch, wall)
     except Exception as exc:  # captured per report, runner keeps going
         wall = (time.perf_counter() - t0) * 1000.0
         return Report(case.id, case.kind, "error", R0, None, wall,
@@ -1064,7 +1047,7 @@ def run_all(order_overrides=None, jobs: int = 1, ids=None) -> list[Report]:
         (i, None if order_for(i) is None else str(order_for(i))) for i in ids
     ]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(tasks) // (jobs * 4) or 1)
+        chunk = max(1, len(tasks) // (jobs * 4))
         return list(pool.map(_worker, tasks, chunksize=chunk))
 
 

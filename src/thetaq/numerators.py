@@ -9,16 +9,15 @@ registry over-determine the construction and would expose a transcription
 slip.  Sector rule: half-integer s for every level m, integer s only for
 odd m (no base formula exists otherwise).
 
-All builders guarantee ``result.cutoff >= order`` and are memoized; the
-cache is read-concurrent with single-writer insertion.  Each builder sizes
-its factors so that one build reaches ``order``, except :func:`character`,
-whose formulas fall 1/24 to 1/8 short; it goes through :func:`ensure_order`,
-an adapter over the retry loop :func:`certify`.
+All builders guarantee ``result.cutoff >= order`` in one build and are
+memoized per process.  Each sizes its factors from the order it must reach;
+:func:`character` builds its formula above ``order`` by the shortfall
+declared in SUPPORTED_CHARACTERS.  Checks whose inputs still fall short go
+through :func:`ensure_order`, the one retry loop.
 """
 
 from __future__ import annotations
 
-import threading
 from math import lcm
 
 from . import cyclo
@@ -34,31 +33,16 @@ from .series import (
 from .thetalib import _coset_range, bracket, eta, mumford, theta_jm, theta_pm
 
 _cache: dict = {}
-_cache_lock = threading.Lock()
 
 
 def _cached(key, build):
     hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    val = build()
-    with _cache_lock:
-        return _cache.setdefault(key, val)
+    if hit is None:
+        hit = _cache[key] = build()
+    return hit
 
 
-def ensure_order(builder, order):
-    """``builder(order)`` if its cutoff reaches ``order``; otherwise a build
-    boosted by :func:`certify`, restricted to ``order``."""
-    order = rat(order)
-
-    def attempt(k):
-        s = builder(k)
-        return s if k == order and s.cutoff >= order else s.restrict(order)
-
-    return certify(attempt, order)
-
-
-def certify(attempt, order):
+def ensure_order(attempt, order):
     """The one retry loop: run ``attempt(order + boost)`` until it stops
     raising InsufficientOrderError.  Each shortfall raises the boost by at
     least 1/2, so retried builds land on orders other attempts share in the
@@ -119,7 +103,8 @@ def _triple_sum_weights(m: int, alpha, bound):
     ``den = lcm(4m, alpha.denominator)``, and the coefficient
     -+e^{i pi u/2} is the eighth turn w^(2u) or w^(2u+4).
 
-    Truncation: for alpha >= -1/2 (both sectors) every term with index j
+    Truncation: for alpha >= -1/2 (both sectors; a smaller alpha raises
+    ValueError) every term with index j
     obeys exponent >= j^2 - 2m*max(alpha,0)*j  (because t <= 2mj and
     t^2/(4m) <= tj/2), so j stops at the last integer with that quadratic
     below ``bound``, found exactly by :func:`_coset_range`; the bound is
@@ -127,6 +112,8 @@ def _triple_sum_weights(m: int, alpha, bound):
     """
     alpha = rat(alpha)
     bound = rat(bound)
+    if alpha < rat(-1, 2):
+        raise ValueError(f"triple sums need alpha >= -1/2, got {alpha}")
     ks = list(range(1, m, 2))
     if not ks:
         return {}
@@ -388,7 +375,17 @@ def u_basis(m: int, sector: str, order) -> list[Series]:
     return _cached(("ubasis", m, sector, order), build)
 
 
-SUPPORTED_CHARACTERS = ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (4, 1), (4, 3))
+# label (m, m2) -> how far below its build order the closed formula's
+# cutoff falls; (2, 1) lands 1/48 above it
+SUPPORTED_CHARACTERS = {
+    (1, 0): rat(1, 24),
+    (1, 1): rat(1, 24),
+    (2, 0): rat(1, 8),
+    (2, 1): R0,
+    (2, 2): rat(1, 8),
+    (4, 1): rat(5, 48),
+    (4, 3): rat(5, 48),
+}
 
 
 def branching_basis(left, right) -> list:
@@ -406,15 +403,18 @@ def character(m: int, m2: int, order) -> Series:
     """Closed-form character of the level-m module with label m2.
 
     Only the levels with explicit formulas are available: see
-    SUPPORTED_CHARACTERS.
+    SUPPORTED_CHARACTERS.  One build at ``order`` plus the label's shortfall
+    has cutoff ``order`` ((2, 1): ``order + 1/48``).
     """
     m = int(m)
     m2 = int(m2)
-    if (m, m2) not in SUPPORTED_CHARACTERS:
+    short = SUPPORTED_CHARACTERS.get((m, m2))
+    if short is None:
         raise ValueError(f"character formula not available for ({m}, {m2})")
+    order = rat(order)
     return _cached(
-        ("char", m, m2, rat(order)),
-        lambda: ensure_order(lambda k: _character_raw(m, m2, k), order),
+        ("char", m, m2, order),
+        lambda: _character_raw(m, m2, order + short),
     )
 
 
@@ -481,7 +481,3 @@ def denominator_z_coset(order):
     r = derived_denominator(order)
     return sorted({z - z.__floor__() for _, z, _ in r.monomials()})
 
-
-def clear_cache():
-    with _cache_lock:
-        _cache.clear()

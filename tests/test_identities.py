@@ -1,3 +1,9 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from thetaq._rational import rat
@@ -61,9 +67,7 @@ def test_injected_fault_reports_mismatch():
         lambda o: theta_jm(0, 1, o) + Series.monomial(cyclo.ONE, rat(3), rat(0)),
         lambda o: theta_jm(0, 1, o),
     )
-    res = chk(rat(6))
-    assert res.status == "fail"
-    assert res.first_mismatch == (3, 0)
+    assert chk(rat(6)) == (False, (3, 0))
 
 
 def test_equality_check_rebuilds_a_short_side():
@@ -75,7 +79,7 @@ def test_equality_check_rebuilds_a_short_side():
         return theta_jm(0, 1, o + 1).restrict(o - rat(1, 24))
 
     res = equality_check(short, lambda o: theta_jm(0, 1, o))(rat(3))
-    assert (res.status, res.certified_order) == ("pass", 3)
+    assert res == (True, None)
     assert orders == [3, rat(7, 2)]
 
 
@@ -133,3 +137,30 @@ def test_report_json_schema():
 def test_anchor_text_present():
     for _, _, _, anchor in list_identities()[:20]:
         assert anchor and isinstance(anchor, str)
+
+
+@pytest.mark.slow
+def test_perfbench_tracer_counts_registry_retries():
+    # perfbench/tracer.py rebinds `ensure_order` from outside the package;
+    # S2.mumford.item1 falls short once, so the loop runs its attempt twice
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = (
+        "import json, tracer\n"
+        "t = tracer.install()\n"
+        "from thetaq.identities import run_identity\n"
+        "assert run_identity('S2.mumford.item1').status == 'pass'\n"
+        "print(json.dumps({k: v for k, v in t.counts.items()"
+        " if k.startswith('numerators.ensure_order.')}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ,
+             "PYTHONPATH": os.pathsep.join([str(root / "src"),
+                                            str(root / "perfbench")])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "numerators.ensure_order.calls": 1,
+        "numerators.ensure_order.runs": 2,
+        "numerators.ensure_order.reruns": 1,
+    }

@@ -1,18 +1,23 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetaq._rational import rat
+from thetaq._rational import R0, rat
 from thetaq import cyclo
 from thetaq.cyclo import phase
 from thetaq.numerators import (
     DegenerateDivisorError,
+    SUPPORTED_CHARACTERS,
+    _character_raw,
     _triple_sum_weights,
-    certify,
     character,
     denominator_z_coset,
     derived_denominator,
@@ -165,19 +170,37 @@ def test_derived_denominator_structure():
 
 
 def test_ensure_order_boosts():
-    # a builder that loses half a unit of trust per construction
+    # a builder that loses half a unit of trust per construction; restrict
+    # raises the shortfall that the loop boosts past
     def lossy(k):
-        return Series.zero(k - rat(1, 2))
+        return Series.zero(k - rat(1, 2)).restrict(3)
 
     s = ensure_order(lossy, 3)
     assert s.cutoff == 3
 
 
 def test_ensure_order_restricts_only_boosted_builds():
-    # level 2 reaches its order on the first build and is returned as built;
-    # level 4 falls 1/8 short, is boosted and is restricted back to 4
+    # (2, 1) lands 1/48 above its order and is returned as built; level 4
+    # is built 5/48 higher and lands on 4
     assert character(2, 1, 4).cutoff == rat(193, 48)
     assert character(4, 1, 4).cutoff == 4
+
+
+_CHARACTER_ORDERS = (rat(1, 2), rat(1), rat(25, 24), rat(4), rat(13, 2))
+
+
+@pytest.mark.parametrize("label", list(SUPPORTED_CHARACTERS))
+def test_character_table_is_tight(label):
+    # each formula's cutoff falls exactly its declared shortfall below its
+    # build order ((2, 1) lands 1/48 above it), so one build reaches the
+    # order; a higher build agrees below that cutoff
+    short = SUPPORTED_CHARACTERS[label]
+    over = rat(1, 48) if label == (2, 1) else R0
+    for k in _CHARACTER_ORDERS:
+        assert _character_raw(*label, k).cutoff == k - short + over
+        ch = character(*label, k)
+        assert ch.cutoff == k + over
+        assert character(*label, k + 1).restrict(ch.cutoff) == ch
 
 
 _orders = st.integers(48, 384).map(lambda n: rat(n, 48))
@@ -227,16 +250,16 @@ def _short_attempt(gap, shortfalls):
 
 @pytest.mark.parametrize("gap,boost", [(rat(1, 8), rat(1, 2)),
                                        (rat(3, 4), rat(3, 4))])
-def test_certify_boosts_by_shortfall_at_least_half(gap, boost):
+def test_ensure_order_boosts_by_shortfall_at_least_half(gap, boost):
     attempt, calls = _short_attempt(gap, 1)
-    assert certify(attempt, rat(3)) == 3 + boost
+    assert ensure_order(attempt, rat(3)) == 3 + boost
     assert calls == [3, 3 + boost]
 
 
-def test_certify_gives_up_after_six_shortfalls():
+def test_ensure_order_gives_up_after_six_shortfalls():
     attempt, calls = _short_attempt(rat(1, 8), 6)
     with pytest.raises(InsufficientOrderError):
-        certify(attempt, rat(3))
+        ensure_order(attempt, rat(3))
     assert len(calls) == 6
 
 
@@ -369,3 +392,27 @@ def test_triple_sum_weights_match_fraction_reference(m, alpha, bound):
         assert got[k].terms == want[k].terms
         assert got[k].cutoff == want[k].cutoff
         assert got[k].den == want[k].den
+
+
+def test_triple_sum_weights_reject_alpha_below_domain():
+    with pytest.raises(ValueError, match="alpha >= -1/2"):
+        _triple_sum_weights(2, -1, 2)
+
+
+@pytest.mark.slow
+def test_triple_sum_domain_guard_survives_optimize():
+    # the guard must not be an assert, which `python -O` strips
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from thetaq.numerators import _triple_sum_weights\n"
+        "try:\n"
+        "    _triple_sum_weights(2, -1, 2)\n"
+        "except ValueError:\n"
+        "    print('ValueError')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ValueError"
