@@ -15,21 +15,13 @@ from ._rational import BACKEND, rat, rat_from_str, rat_str
 from .series import Series
 from .identities import (
     UnknownIdentityError,
+    branch_product,
     list_identities,
-    registry,
     run_all,
     run_identity,
     summarize,
 )
-from .linsolve import decompose
-from .numerators import (
-    SUPPORTED_CHARACTERS,
-    branching_basis,
-    character,
-    ensure_order,
-    numerator,
-    u_basis,
-)
+from .numerators import character, numerator, u_basis
 from .thetalib import ThetaSpec, eta, mumford, theta
 
 
@@ -61,17 +53,31 @@ def load_config(path):
     return cfg
 
 
+def _parallelism(value):
+    """The config's ``parallelism``: a positive int or integer string."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ValueError
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise UsageError("parallelism must be a positive integer")
+    return jobs
+
+
 def _resolve(args):
     """Merge config file and flags; flags win."""
     cfg = load_config(getattr(args, "config", None))
     order = getattr(args, "order", None)
     if order is None and "default_order" in cfg:
         order = str(cfg["default_order"])
-    fmt = getattr(args, "format", None) or cfg.get("output_format") or "text"
+    fmt = getattr(args, "format", None) or cfg.get("output_format", "text")
     if fmt not in ("text", "json", "markdown"):
         raise UsageError(f"unknown format {fmt!r}")
     jobs = getattr(args, "jobs", None)
-    jobs = jobs if jobs is not None else int(cfg.get("parallelism", 1))
+    if jobs is None:
+        jobs = _parallelism(cfg.get("parallelism", 1))
     if jobs < 1:
         raise UsageError("--jobs must be a positive integer")
     order = None if order is None else _frac(order)
@@ -196,32 +202,6 @@ def _branch_label(text):
         raise UsageError(f"label must look like m:m2, got {text!r}") from None
 
 
-def branch_product(left, right, order):
-    """Decompose a product of two supported characters over the characters
-    of the summed level with matching label parity."""
-    for lbl in (left, right):
-        if lbl not in SUPPORTED_CHARACTERS:
-            raise UsageError(
-                f"character {lbl[0]}:{lbl[1]} not available; supported: "
-                + ", ".join(f"{a}:{b}" for a, b in SUPPORTED_CHARACTERS)
-            )
-    basis_labels = branching_basis(left, right)
-    if not basis_labels:
-        raise UsageError(
-            f"basis not available: no level-{left[0] + right[0]} characters "
-            f"of parity {(left[1] + right[1]) % 2} have closed forms"
-        )
-
-    def attempt(k):
-        # head start: a factor of negative order cuts the product's cutoff
-        k += rat(1, 2)
-        target = character(*left, k) * character(*right, k)
-        basis = [character(*lbl, k) for lbl in basis_labels]
-        return decompose(target, basis, order)
-
-    return basis_labels, ensure_order(attempt, order)
-
-
 def cmd_branch(args) -> int:
     order, fmt, _ = _resolve(args)
     if order is None:
@@ -344,10 +324,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -130,9 +130,6 @@ class CycloNum:
         assert n.is_rational() and n.c[0]
         return b.scale(R1 / n.c[0])
 
-    def __truediv__(self, other: CycloNum) -> CycloNum:
-        return self * other.inverse()
-
     # -- comparison / rendering ------------------------------------------
 
     def __eq__(self, other) -> bool:

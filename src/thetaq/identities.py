@@ -3,8 +3,11 @@
 Each case binds a named statement (theta multiplication laws, argument-shift
 laws, character product formulas, numerator p-independence, span and closure
 statements) to deferred series builders plus a default truncation order.
-``run_identity`` produces a deterministic report; ``run_all`` fans the cases
-out over a process pool and merges reports in id order.
+Each law is written once: ``_law`` is the theta multiplication sum,
+``_shifted`` the argument-shifted build, ``branch_product`` the branching
+decomposition (shared with ``thetaq branch``), and the grid points are rows
+of data.  ``run_identity`` produces a deterministic report; ``run_all`` fans
+the cases out over a process pool and merges reports in id order.
 
 Case ids are grouped by the section tokens S2..S5; within a group the suffix
 spells the grid point (degrees, indices, shifts) so a failure pinpoints its
@@ -22,8 +25,9 @@ from dataclasses import dataclass
 from . import cyclo
 from ._rational import R0, rat, rat_str
 from .cyclo import phase
-from .linsolve import membership
+from .linsolve import decompose, membership
 from .numerators import (
+    SUPPORTED_CHARACTERS,
     DegenerateDivisorError,
     _half_divisor_degenerate,
     branching_basis,
@@ -123,18 +127,106 @@ def span_check(a_builder, b_builder):
     return _retried(attempt)
 
 
+def _gen(fn, *args, **kwargs):
+    """The builder ``order -> fn(*args, order, **kwargs)``.
+
+    Like ``functools.partial``, but ``fn`` is looked up by name in this
+    module each time the builder runs, not once when the registry is built,
+    so a later rebinding of that name (``perfbench/tracer.py`` wraps the
+    generators this way) reaches every call.
+    """
+    name = fn.__name__
+    return lambda o: globals()[name](*args, o, **kwargs)
+
+
 def _e(c, p):
-    return lambda o: eta(rat(c), p, o)
+    return _gen(eta, rat(c), p)
 
 
-def _prod(*bs):
+def _prod(first, *rest):
+    """``order -> first(order) * rest[0](order) * ...``."""
+
     def b(o):
-        out = Series.one(rat(o))
-        for x in bs:
+        out = first(o)
+        for x in rest:
             out = out * x(o)
         return out
 
     return b
+
+
+def _law(gen, level, index, const, count):
+    """``order -> sum_{r < count} theta_{c0 + c1 r, cl}(tau, 0) *
+    gen(i0 + i1 r, level)`` for ``index = (i0, i1)`` and ``const = (c0, c1,
+    cl)``: the right side of every theta multiplication law here."""
+    (i0, i1), (c0, c1, cl) = index, const
+
+    def b(order):
+        out = Series.zero(rat(order))
+        for r in range(count):
+            c = theta_zero_arg(c0 + c1 * r, cl, order)
+            out = out + c * _gen(gen, i0 + i1 * r, level)(order)
+        return out
+
+    return b
+
+
+def _shifted(build, qpow, zpow=R0, coeff=cyclo.ONE):
+    """``order -> coeff q^qpow z^zpow build(order - qpow)``, trusted below
+    ``order``."""
+    return lambda o: build(o - qpow).times_monomial(coeff, qpow, zpow)
+
+
+def _denominator_times(*labels):
+    """``order -> derived_denominator * product of the characters labels``,
+    built 1/2 above ``order``: the denominator's negative order cuts the
+    product's cutoff."""
+
+    def b(o):
+        k = o + rat(1, 2)
+        out = derived_denominator(k)
+        for lbl in labels:
+            out = out * character(*lbl, k)
+        return out
+
+    return b
+
+
+def branch_product(left, right, order):
+    """Decompose a product of two supported characters over the characters
+    of the summed level with matching label parity; returns the basis
+    labels and the Decomposition."""
+    for lbl in (left, right):
+        if lbl not in SUPPORTED_CHARACTERS:
+            raise ValueError(
+                f"character {lbl[0]}:{lbl[1]} not available; supported: "
+                + ", ".join(f"{a}:{b}" for a, b in SUPPORTED_CHARACTERS)
+            )
+    basis_labels = branching_basis(left, right)
+    if not basis_labels:
+        raise ValueError(
+            f"basis not available: no level-{left[0] + right[0]} characters "
+            f"of parity {(left[1] + right[1]) % 2} have closed forms"
+        )
+
+    def attempt(k):
+        # head start: a factor of negative order cuts the product's cutoff
+        k += rat(1, 2)
+        target = character(*left, k) * character(*right, k)
+        basis = [character(*lbl, k) for lbl in basis_labels]
+        return decompose(target, basis, order)
+
+    return basis_labels, ensure_order(attempt, order)
+
+
+def _branching(left, right):
+    """Passes iff the product's decomposition by branch_product is exact."""
+
+    def run(order):
+        dec = branch_product(left, right, order)[1]
+        return dec.status == "exact", dec.witness
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -158,111 +250,6 @@ def _add(reg, id_, kind, order, anchor, run):
 
 
 def _build_s2(reg):
-    for n in _SMALL:
-        for m in _SMALL:
-            for j in _HALVES:
-                for k in _HALVES:
-
-                    def lhs(order, n=n, m=m, j=j, k=k):
-                        return theta_jm(j, n, order) * theta_jm(k, m, order)
-
-                    def rhs(order, n=n, m=m, j=j, k=k):
-                        out = Series.zero(rat(order))
-                        for r in range(m + n):
-                            c = theta_zero_arg(
-                                2 * m * n * r + k * n - j * m, m * n * (m + n), order
-                            )
-                            out = out + c * theta_jm(j + k + 2 * m * r, m + n, order)
-                        return out
-
-                    _add(
-                        reg,
-                        f"S2.mult-lemma.n{n}m{m}.j{_fmt(j)}k{_fmt(k)}",
-                        "equality",
-                        6,
-                        f"theta multiplication law, degrees ({n},{m}), "
-                        f"indices ({_fmt(j)},{_fmt(k)})",
-                        equality_check(lhs, rhs),
-                    )
-
-    # degree-1 and degree-2 specializations
-    for m in _SMALL:
-        for k in _HALVES:
-
-            def lhs1(order, m=m, k=k):
-                return theta_jm(0, 1, order) * theta_jm(k, m, order)
-
-            def rhs1(order, m=m, k=k):
-                out = Series.zero(rat(order))
-                for r in range(m + 1):
-                    out = out + theta_jm(k + 2 * r, m + 1, order) * theta_zero_arg(
-                        k - 2 * m * r, m * (m + 1), order
-                    )
-                return out
-
-            def lhs2(order, m=m, k=k):
-                return theta_jm(1, 1, order) * theta_jm(k, m, order)
-
-            def rhs2(order, m=m, k=k):
-                out = Series.zero(rat(order))
-                for r in range(m + 1):
-                    out = out + theta_jm(
-                        k + 2 * r + 1, m + 1, order
-                    ) * theta_zero_arg(k - (2 * r + 1) * m, m * (m + 1), order)
-                return out
-
-            _add(reg, f"S2.n1spec.i1.m{m}k{_fmt(k)}", "equality", 6,
-                 f"index-0 degree-1 multiplication, level {m}, index {_fmt(k)}",
-                 equality_check(lhs1, rhs1))
-            _add(reg, f"S2.n1spec.i2.m{m}k{_fmt(k)}", "equality", 6,
-                 f"index-1 degree-1 multiplication, level {m}, index {_fmt(k)}",
-                 equality_check(lhs2, rhs2))
-
-            for item, (jj, ishift, cshift) in enumerate(
-                (
-                    (0, 0, lambda m, r: -4 * m * r),
-                    (2, 2, lambda m, r: -2 * m - 4 * m * r),
-                    (1, 1, lambda m, r: -m - 4 * m * r),
-                    (-1, -1, lambda m, r: m - 4 * m * r),
-                ),
-                start=1,
-            ):
-
-                def lhs3(order, m=m, k=k, jj=jj):
-                    return theta_jm(jj, 2, order) * theta_jm(k, m, order)
-
-                def rhs3(order, m=m, k=k, ishift=ishift, cshift=cshift):
-                    out = Series.zero(rat(order))
-                    for r in range(m + 2):
-                        out = out + theta_jm(
-                            k + ishift + 4 * r, m + 2, order
-                        ) * theta_zero_arg(
-                            2 * k + cshift(m, r), 2 * m * (m + 2), order
-                        )
-                    return out
-
-                _add(reg, f"S2.n2spec.i{item}.m{m}k{_fmt(k)}", "equality", 6,
-                     f"degree-2 multiplication item {item}, level {m}, "
-                     f"index {_fmt(k)}",
-                     equality_check(lhs3, rhs3))
-
-            def lhs4(order, m=m, k=k):
-                return (theta_jm(1, 2, order) + theta_jm(-1, 2, order)) * theta_jm(
-                    k, m, order
-                )
-
-            def rhs4(order, m=m, k=k):
-                out = Series.zero(rat(order))
-                for r in range(2 * (m + 2)):
-                    out = out + theta_jm(
-                        k - 1 + 2 * r, m + 2, order
-                    ) * theta_zero_arg(2 * k + m - 2 * m * r, 2 * m * (m + 2), order)
-                return out
-
-            _add(reg, f"S2.vt10spec.m{m}k{_fmt(k)}", "equality", 6,
-                 f"two-term degree-2 multiplication, level {m}, index {_fmt(k)}",
-                 equality_check(lhs4, rhs4))
-
     # classical two-variable thetas as index combinations
     combos = {
         "00": lambda o: theta_jm(0, 2, o) + theta_jm(2, 2, o),
@@ -272,13 +259,61 @@ def _build_s2(reg):
             cyclo.I
         ),
     }
+
+    for n in _SMALL:
+        for m in _SMALL:
+            for j in _HALVES:
+                for k in _HALVES:
+                    _add(
+                        reg,
+                        f"S2.mult-lemma.n{n}m{m}.j{_fmt(j)}k{_fmt(k)}",
+                        "equality",
+                        6,
+                        f"theta multiplication law, degrees ({n},{m}), "
+                        f"indices ({_fmt(j)},{_fmt(k)})",
+                        equality_check(
+                            _prod(_gen(theta_jm, j, n), _gen(theta_jm, k, m)),
+                            _law(theta_jm, m + n, (j + k, 2 * m),
+                                 (k * n - j * m, 2 * m * n, m * n * (m + n)),
+                                 m + n),
+                        ),
+                    )
+
+    # degree-1 and degree-2 specializations:
+    # (id, anchor, factor, level, index, constant, count)
+    for m in _SMALL:
+        for k in _HALVES:
+            mm1, mm2 = m * (m + 1), 2 * m * (m + 2)
+            laws = [
+                ("n1spec.i1", "index-0 degree-1 multiplication",
+                 _gen(theta_jm, 0, 1), m + 1, (k, 2), (k, -2 * m, mm1), m + 1),
+                ("n1spec.i2", "index-1 degree-1 multiplication",
+                 _gen(theta_jm, 1, 1), m + 1, (k + 1, 2), (k - m, -2 * m, mm1),
+                 m + 1),
+            ]
+            laws += [
+                (f"n2spec.i{item}", f"degree-2 multiplication item {item}",
+                 _gen(theta_jm, jj, 2), m + 2, (k + jj, 4),
+                 (2 * k - jj * m, -4 * m, mm2), m + 2)
+                for item, jj in enumerate((0, 2, 1, -1), start=1)
+            ]
+            laws.append(
+                ("vt10spec", "two-term degree-2 multiplication", combos["10"],
+                 m + 2, (k - 1, 2), (2 * k + m, -2 * m, mm2), 2 * (m + 2))
+            )
+            for tag, what, factor, level, index, const, count in laws:
+                _add(reg, f"S2.{tag}.m{m}k{_fmt(k)}", "equality", 6,
+                     f"{what}, level {m}, index {_fmt(k)}",
+                     equality_check(_prod(factor, _gen(theta_jm, k, m)),
+                                    _law(theta_jm, level, index, const, count)))
+
     for label, combo in combos.items():
         _add(reg, f"S2.mumford-def.{label}", "equality", 6,
              f"two-variable theta {label} as degree-2 combination",
-             equality_check(lambda o, label=label: mumford(label, o), combo))
+             equality_check(_gen(mumford, label), combo))
 
     def mum2(label):
-        return lambda o: mumford(label, o, qscale=2, zcoeff=2)
+        return _gen(mumford, label, qscale=2, zcoeff=2)
 
     big = _prod(_e(2, 5), _e(1, -2), _e(4, -2), mum2("00"))
     small = _prod(_e(4, 2), _e(2, -1), mum2("10"))
@@ -366,30 +401,17 @@ def _build_s2(reg):
                 qpow = -rat(m * m, m + 1) * rat(4 * p + sgn, 4) ** 2
                 ph = phase(rat(m * (4 * p + sgn), 8))
                 twist = 1 if m % 2 else -1
-
-                def lhs_a(order, m=m, tsh=tsh):
-                    return theta(
-                        ThetaSpec(0, m + 1, zcoeff=0, tshift=tsh, cshift=rat(-1, 2)),
-                        order,
-                    )
-
-                def mid_a(order, m=m, idx=idx, qpow=qpow, ph=ph):
-                    t = theta(
-                        ThetaSpec(idx, m + 1, zcoeff=0, cshift=rat(-1, 2)),
-                        order - qpow,
-                    )
-                    return t.times_monomial(ph, qpow, R0)
-
-                def rhs_b(order, m=m, idx=idx, qpow=qpow, twist=twist):
-                    t = theta_pm(twist, idx, m + 1, order - qpow)
-                    return t.times_monomial(cyclo.ONE, qpow, R0)
-
+                lhs_a = _gen(theta, ThetaSpec(0, m + 1, zcoeff=0, tshift=tsh,
+                                              cshift=rat(-1, 2)))
+                mid_a = _gen(theta, ThetaSpec(idx, m + 1, zcoeff=0,
+                                              cshift=rat(-1, 2)))
                 _add(reg, f"S2.shift626a.item{tag}a.p{p}m{m}", "equality", 6,
                      f"half-period slice vs shifted index, m={m}, p={p}",
-                     equality_check(lhs_a, mid_a))
+                     equality_check(lhs_a, _shifted(mid_a, qpow, coeff=ph)))
                 _add(reg, f"S2.shift626a.item{tag}b.p{p}m{m}", "equality", 6,
                      f"half-period slice vs twisted constant, m={m}, p={p}",
-                     equality_check(lhs_a, rhs_b))
+                     equality_check(lhs_a, _shifted(
+                         _gen(theta_pm, twist, idx, m + 1), qpow)))
 
             absorptions = []  # (tag, anchor, tau-shift, z sign, q^, z^, index)
             for tag, sgn, zsgn in (
@@ -414,20 +436,12 @@ def _build_s2(reg):
                 ))
 
             for tag, what, tsh, zsgn, qpow, zpow, idx in absorptions:
-
-                def lhs_z(order, m=m, tsh=tsh, zsgn=zsgn):
-                    return theta(
-                        ThetaSpec(0, m + 1, zcoeff=zsgn, tshift=tsh), order
-                    )
-
-                def rhs_z(order, m=m, idx=idx, qpow=qpow, zpow=zpow):
-                    return theta_jm(idx, m + 1, order - qpow).times_monomial(
-                        cyclo.ONE, qpow, zpow
-                    )
-
                 _add(reg, f"S2.shift626a.item{tag}.p{p}m{m}", "equality", 6,
                      f"{what}, m={m}, p={p}, branch {tag}",
-                     equality_check(lhs_z, rhs_z))
+                     equality_check(
+                         _gen(theta, ThetaSpec(0, m + 1, zcoeff=zsgn, tshift=tsh)),
+                         _shifted(_gen(theta_jm, idx, m + 1), qpow, zpow),
+                     ))
 
     for p in _SHIFTS:
         for tag, tsh, qpow, zpow, idx in (
@@ -438,68 +452,48 @@ def _build_s2(reg):
             ("3", rat(3 - 4 * p, 4), -rat(4 * p - 3, 4) ** 2,
              rat(4 * p - 3, 4), rat(1, 2)),
         ):
-
-            def lhs_c(order, tsh=tsh):
-                return mumford("10", order, qscale=2, tshift=2 * tsh)
-
-            def rhs_c(order, idx=idx, qpow=qpow, zpow=zpow):
-                return theta_jm(idx, 1, order - qpow).times_monomial(
-                    cyclo.ONE, qpow, zpow
-                )
-
             _add(reg, f"S2.shift626c.item{tag}.p{p}", "equality", 6,
                  f"doubled-argument 10-theta tau-shift, p={p}, item {tag}",
-                 equality_check(lhs_c, rhs_c))
+                 equality_check(
+                     _gen(mumford, "10", qscale=2, tshift=2 * tsh),
+                     _shifted(_gen(theta_jm, idx, 1), qpow, zpow),
+                 ))
 
+    # shifted theta over shifted doubled 10-theta:
+    # (tag, (z sign, tau-shift), denominator tau-shift, index, denominator
+    # index, q^, z^)
     for m in _SMALL:
         for p in _SHIFTS:
             qr = rat(m, m + 1) * rat(4 * p + 1, 4) ** 2
             qr2 = rat(m, m + 1) * rat(4 * p - 1, 4) ** 2 - rat(m, 4)
-            # the denominators' tau-shifts (doubled 10-theta), per branch
-            dsh1 = 2 * p + rat(1, 2)
-            dsh2 = -(2 * p + rat(1, 2))
-            dsh3 = rat(3, 2) - 2 * p
-
-            def lhs_d(order, m=m, num_z=1, num_tsh=R0, den_tsh=R0):
-                num = theta(
-                    ThetaSpec(0, m + 1, zcoeff=num_z, tshift=num_tsh), order
-                )
-                return num * mumford(
-                    "10", order, qscale=2, tshift=den_tsh
-                ).inverse()
-
-            def rhs_d(order, m=m, idx=R0, qpow=R0, zpow=R0, den_idx=R0):
-                t = theta_jm(idx, m + 1, order) * theta_jm(
-                    den_idx, 1, order
-                ).inverse()
-                return t.times_monomial(cyclo.ONE, qpow, zpow)
-
-            branches = (
-                ("1i", dict(num_z=1, num_tsh=rat(4 * p + 1, 2 * (m + 1)),
-                            den_tsh=dsh1),
-                 dict(idx=2 * p + rat(1, 2), qpow=qr, zpow=R0,
-                      den_idx=rat(-1, 2))),
-                ("1ii", dict(num_z=-1, num_tsh=rat(4 * p + 1, 2 * (m + 1)),
-                             den_tsh=dsh2),
-                 dict(idx=-(2 * p + rat(1, 2)), qpow=qr, zpow=R0,
-                      den_idx=rat(1, 2))),
-                ("2i", dict(num_z=1, num_tsh=rat(4 * p - 1, 2 * (m + 1)) + 1,
-                            den_tsh=dsh1),
-                 dict(idx=2 * p - rat(1, 2) + m + 1, qpow=qr2, zpow=-rat(m, 2),
-                      den_idx=rat(-1, 2))),
-                ("2ii", dict(num_z=-1, num_tsh=rat(4 * p - 1, 2 * (m + 1)) - 1,
-                             den_tsh=dsh3),
-                 dict(idx=-(2 * p - rat(1, 2) + m + 1), qpow=qr2,
-                      zpow=-rat(m, 2), den_idx=rat(1, 2))),
-            )
-            for tag, lkw, rkw in branches:
+            h = 2 * p + rat(1, 2)
+            t1 = rat(4 * p + 1, 2 * (m + 1))
+            t2 = rat(4 * p - 1, 2 * (m + 1))
+            i2 = 2 * p - rat(1, 2) + m + 1
+            for tag, num, den_tsh, idx, den_idx, qpow, zpow in (
+                ("1i", (1, t1), h, h, rat(-1, 2), qr, R0),
+                ("1ii", (-1, t1), -h, -h, rat(1, 2), qr, R0),
+                ("2i", (1, t2 + 1), h, i2, rat(-1, 2), qr2, -rat(m, 2)),
+                ("2ii", (-1, t2 - 1), rat(3, 2) - 2 * p, -i2, rat(1, 2), qr2,
+                 -rat(m, 2)),
+            ):
                 _add(reg, f"S2.shift626d.item{tag}.p{p}m{m}", "equality", 6,
                      f"shifted-theta over shifted-10 ratio, m={m}, p={p}, "
                      f"branch {tag}",
                      equality_check(
-                         lambda o, f=lhs_d, lkw=lkw: f(o, **lkw),
-                         lambda o, f=rhs_d, rkw=rkw: f(o, **rkw),
+                         _gen(_shifted_ratio, m, *num, den_tsh),
+                         _gen(_index_ratio, m, idx, den_idx, qpow, zpow),
                      ))
+
+
+def _shifted_ratio(m, zcoeff, tshift, den_tshift, order):
+    num = theta(ThetaSpec(0, m + 1, zcoeff=zcoeff, tshift=tshift), order)
+    return num * mumford("10", order, qscale=2, tshift=den_tshift).inverse()
+
+
+def _index_ratio(m, idx, den_idx, qpow, zpow, order):
+    t = theta_jm(idx, m + 1, order) * theta_jm(den_idx, 1, order).inverse()
+    return t.times_monomial(cyclo.ONE, qpow, zpow)
 
 
 def _build_s3(reg):
@@ -512,21 +506,17 @@ def _build_s3(reg):
          equality_check(lambda o: mumford("10", o, qscale=2),
                         lambda o: theta_jm(1, 1, o)))
 
-    for m2 in (0, 1):
-        lbl = "00" if m2 == 0 else "10"
-        coef = cyclo.MINUS_ONE if m2 == 0 else -cyclo.I
-
-        def via_mumford(order, lbl=lbl, coef=coef):
-            return (mumford(lbl, order, qscale=2) * eta(1, -1, order)).times_monomial(
-                coef
-            )
-
+    for m2, lbl, coef in ((0, "00", cyclo.MINUS_ONE), (1, "10", -cyclo.I)):
         _add(reg, f"S3.char-m1.{m2}", "equality", 6,
              f"level-1 character (label {m2}) built two ways",
-             equality_check(lambda o, m2=m2: character(1, m2, o), via_mumford))
+             equality_check(
+                 _gen(character, 1, m2),
+                 _shifted(_prod(_gen(mumford, lbl, qscale=2), _e(1, -1)), R0,
+                          coeff=coef),
+             ))
 
     def chmul(a, b):
-        return lambda o: character(*a, o) * character(*b, o)
+        return _prod(_gen(character, *a), _gen(character, *b))
 
     # inversion of the level-2 / level-4 formulas
     _add(reg, "S3.inv609a.item1i", "equality", 6,
@@ -670,7 +660,7 @@ def _generator_multiples_check(factor, m, sector, m2, sector2):
     def run(order):
         for i in range(len(u_basis(m, sector, order))):
             ok, wit = membership_check(
-                lambda o, i=i: factor(o) * u_basis(m, sector, o)[i],
+                _prod(factor, lambda o, i=i: u_basis(m, sector, o)[i]),
                 _ub(m2, sector2),
             )(order)
             if not ok:
@@ -688,7 +678,7 @@ def _build_s5(reg):
                  f"numerator ladder step, level {m}, s={_fmt(s)}",
                  equality_check(
                      lambda o, m=m, s=s: numerator(m, s, o) - numerator(m, s + 1, o),
-                     lambda o, m=m, s=s: ladder_step(m, s, o),
+                     _gen(ladder_step, m, s),
                  ))
     _add(reg, "S5.ladder.degenerate.m1", "equality", 4,
          "vanishing ladder step at level 1",
@@ -700,24 +690,18 @@ def _build_s5(reg):
         for p in (-2, -1, 0, 1, 2):
             _add(reg, f"S5.member.half.m{m}.p{p}", "membership", 4,
                  f"shifted half-sector ratio pair in the level-{m} span, p={p}",
-                 membership_check(
-                     lambda o, m=m, p=p: ratio_pair(2 * p + rat(1, 2), m + 1, o),
-                     _ub(m, "half"),
-                 ))
+                 membership_check(_gen(ratio_pair, 2 * p + rat(1, 2), m + 1),
+                                  _ub(m, "half")))
     for m in (1, 3):
         for p in (-2, -1, 0, 1, 2):
             _add(reg, f"S5.member.int.m{m}.p{p}", "membership", 4,
                  f"shifted integer-sector ratio pair in the level-{m} span, p={p}",
-                 membership_check(
-                     lambda o, m=m, p=p: ratio_pair(2 * p + rat(1, 2) + m, m + 1, o),
-                     _ub(m, "integer"),
-                 ))
+                 membership_check(_gen(ratio_pair, 2 * p + rat(1, 2) + m, m + 1),
+                                  _ub(m, "integer")))
             _add(reg, f"S5.member707a.m{m}.p{p}", "membership", 4,
                  f"odd-level alternative ratio pair in the integer span, p={p}",
-                 membership_check(
-                     lambda o, m=m, p=p: ratio_pair(2 * p - rat(1, 2), m + 1, o),
-                     _ub(m, "integer"),
-                 ))
+                 membership_check(_gen(ratio_pair, 2 * p - rat(1, 2), m + 1),
+                                  _ub(m, "integer")))
 
     # simpler characterization of the odd-level integer span
     for m in (1, 3):
@@ -757,71 +741,40 @@ def _build_s5(reg):
                          f"(level {m}, index {k}) lands in the level-{m + n} "
                          f"{sector} span",
                          membership_check(
-                             lambda o, j=j, n=n, k=k, m=m:
-                             theta_jm(j, n, o) * bracket(k, m, o),
+                             _prod(_gen(theta_jm, j, n), _gen(bracket, k, m)),
                              _ub(m + n, sector),
                          ))
 
-    # explicit multiplication of ratio pairs by low-degree thetas
-    def rp(a, mm):
-        return lambda o, a=a, mm=mm: ratio_pair(rat(a), mm, o)
-
+    # explicit multiplication of ratio pairs by low-degree thetas:
+    # (tag, factor, ratio-pair index, (level, constant level, count),
+    # pair index (i0, i1), constant index (c0, c1))
+    h = rat(1, 2)
     for m in _SMALL:
-        items = []
-        mm1 = (m + 1) * (m + 2)
-        mm2 = 2 * (m + 1) * (m + 3)
-
-        def mk_sum(coef_idx, pair_idx, modulus, const_level, pair_level):
-            def b(order):
-                out = Series.zero(rat(order))
-                for r in range(modulus):
-                    c = theta_zero_arg(coef_idx(r), const_level, order)
-                    out = out + c * ratio_pair(pair_idx(r), pair_level, order)
-                return out
-
-            return b
-
-        items.append(("1i", lambda o, m=m: theta_jm(0, 1, o) * rp(rat(1, 2), m + 1)(o),
-                      mk_sum(lambda r, m=m: rat(1, 2) - 2 * r * (m + 1),
-                             lambda r: rat(1, 2) + 2 * r, m + 2, mm1, m + 2)))
-        items.append(("1ii", lambda o, m=m: theta_jm(0, 1, o) * rp(rat(-1, 2), m + 1)(o),
-                      mk_sum(lambda r, m=m: rat(1, 2) + 2 * r * (m + 1),
-                             lambda r: rat(-1, 2) + 2 * r, m + 2, mm1, m + 2)))
-        items.append(("2i", lambda o, m=m: theta_jm(1, 1, o) * rp(rat(1, 2), m + 1)(o),
-                      mk_sum(lambda r, m=m: rat(1, 2) - (2 * r - 1) * (m + 1),
-                             lambda r: rat(-1, 2) + 2 * r, m + 2, mm1, m + 2)))
-        items.append(("2ii", lambda o, m=m: theta_jm(1, 1, o) * rp(rat(-1, 2), m + 1)(o),
-                      mk_sum(lambda r, m=m: rat(1, 2) + (2 * r + 1) * (m + 1),
-                             lambda r: rat(1, 2) + 2 * r, m + 2, mm1, m + 2)))
-        items.append(("3i", lambda o, m=m: theta_jm(0, 2, o) * rp(rat(1, 2), m + 1)(o),
-                      mk_sum(lambda r, m=m: 1 - 4 * r * (m + 1),
-                             lambda r: rat(1, 2) + 4 * r, m + 3, mm2, m + 3)))
-        items.append(("3ii", lambda o, m=m: theta_jm(0, 2, o) * rp(rat(-1, 2), m + 1)(o),
-                      mk_sum(lambda r, m=m: 1 + 4 * r * (m + 1),
-                             lambda r: rat(-1, 2) + 4 * r, m + 3, mm2, m + 3)))
-        items.append(("4i", lambda o, m=m: theta_jm(2, 2, o) * rp(rat(1, 2), m + 1)(o),
-                      mk_sum(lambda r, m=m: 1 - 2 * (2 * r + 1) * (m + 1),
-                             lambda r: rat(1, 2) + 2 * (2 * r + 1), m + 3, mm2,
-                             m + 3)))
-        items.append(("4ii", lambda o, m=m: theta_jm(2, 2, o) * rp(rat(-1, 2), m + 1)(o),
-                      mk_sum(lambda r, m=m: 1 + 2 * (2 * r + 1) * (m + 1),
-                             lambda r: rat(-1, 2) + 2 * (2 * r + 1), m + 3, mm2,
-                             m + 3)))
-        # the printed coefficient index of the next two items reads
+        f = 2 * (m + 1)
+        lo = (m + 2, (m + 1) * (m + 2), m + 2)
+        hi = (m + 3, f * (m + 3), m + 3)
+        hi2 = (m + 3, f * (m + 3), 2 * (m + 3))
+        # the printed coefficient index of items 5i/5ii reads
         # -1 + (1 -+ 2r)(m+1); the identity verifies (and is derivable from
         # the two-term degree-2 law) only with +1
-        items.append(("5i", lambda o, m=m: mumford("10", o) * rp(rat(1, 2), m + 1)(o),
-                      mk_sum(lambda r, m=m: 1 + (1 - 2 * r) * (m + 1),
-                             lambda r: rat(-1, 2) + 2 * r, 2 * (m + 3), mm2,
-                             m + 3)))
-        items.append(("5ii", lambda o, m=m: mumford("10", o) * rp(rat(-1, 2), m + 1)(o),
-                      mk_sum(lambda r, m=m: 1 + (1 + 2 * r) * (m + 1),
-                             lambda r: rat(1, 2) + 2 * r, 2 * (m + 3), mm2,
-                             m + 3)))
-        for tag, lhs_b, rhs_b in items:
+        for tag, factor, a, (level, cl, count), index, (c0, c1) in (
+            ("1i", _gen(theta_jm, 0, 1), h, lo, (h, 2), (h, -f)),
+            ("1ii", _gen(theta_jm, 0, 1), -h, lo, (-h, 2), (h, f)),
+            ("2i", _gen(theta_jm, 1, 1), h, lo, (-h, 2), (h + m + 1, -f)),
+            ("2ii", _gen(theta_jm, 1, 1), -h, lo, (h, 2), (h + m + 1, f)),
+            ("3i", _gen(theta_jm, 0, 2), h, hi, (h, 4), (1, -2 * f)),
+            ("3ii", _gen(theta_jm, 0, 2), -h, hi, (-h, 4), (1, 2 * f)),
+            ("4i", _gen(theta_jm, 2, 2), h, hi, (5 * h, 4), (1 - f, -2 * f)),
+            ("4ii", _gen(theta_jm, 2, 2), -h, hi, (3 * h, 4), (1 + f, 2 * f)),
+            ("5i", _gen(mumford, "10"), h, hi2, (-h, 2), (m + 2, -f)),
+            ("5ii", _gen(mumford, "10"), -h, hi2, (h, 2), (m + 2, f)),
+        ):
             _add(reg, f"S5.bigmult.item{tag}.m{m}", "equality", 4,
                  f"ratio-pair multiplication law item {tag}, level {m}",
-                 equality_check(lhs_b, rhs_b))
+                 equality_check(
+                     _prod(factor, _gen(ratio_pair, a, m + 1)),
+                     _law(ratio_pair, level, index, (c0, c1, cl), count),
+                 ))
 
     # closure lemma: products stay inside the higher-level spans
     closure = []
@@ -836,24 +789,21 @@ def _build_s5(reg):
     for j in (0, 2):
         for m in _SMALL:
             closure.append((f"item3i.j{j}.m{m}", m, "half",
-                            lambda o, j=j: theta_jm(j, 2, o), m + 2, "half"))
+                            _gen(theta_jm, j, 2), m + 2, "half"))
         for m in (1, 3):
             closure.append((f"item3ii.j{j}.m{m}", m, "integer",
-                            lambda o, j=j: theta_jm(j, 2, o), m + 2, "integer"))
+                            _gen(theta_jm, j, 2), m + 2, "integer"))
     for m in (1, 3):
         closure.append((f"item4i.m{m}", m, "half", lambda o: mumford("10", o),
                         m + 2, "integer"))
         closure.append((f"item4ii.m{m}", m, "integer", lambda o: mumford("10", o),
                         m + 2, "half"))
         for b in (0, 1):
-            closure.append((
-                f"item5i.b{b}.m{m}", m, "half",
-                lambda o, b=b: mumford("10", o) * mumford(f"0{b}", o),
-                m + 4, "integer"))
-            closure.append((
-                f"item5ii.b{b}.m{m}", m, "integer",
-                lambda o, b=b: mumford("10", o) * mumford(f"0{b}", o),
-                m + 4, "half"))
+            prod = _prod(_gen(mumford, "10"), _gen(mumford, f"0{b}"))
+            closure.append((f"item5i.b{b}.m{m}", m, "half", prod, m + 4,
+                            "integer"))
+            closure.append((f"item5ii.b{b}.m{m}", m, "integer", prod, m + 4,
+                            "half"))
 
     for tag, m, sector, factor, m2, sector2 in closure:
         _add(reg, f"S5.closure.{tag}", "membership", 4,
@@ -887,23 +837,15 @@ def _build_s5(reg):
              f"level-{lbl[0]} character (label {lbl[1]}) times every level-{m} "
              f"{sector} generator lands in the level-{m2} {sector2} span",
              _generator_multiples_check(
-                 lambda o, lbl=lbl: character(*lbl, o), m, sector, m2, sector2))
-
-        def base_num(order, m=m, sector=sector):
-            if sector == "half":
-                return numerator_half(m, 0, order)
-            return numerator_int(m, 0, order)
-
+                 _gen(character, *lbl), m, sector, m2, sector2))
+        base = numerator_half if sector == "half" else numerator_int
         _add(reg,
              f"S5.charclosure.V.ch{lbl[0]}-{lbl[1]}.m{m}.{sector}",
              "membership", 4,
              f"level-{lbl[0]} character (label {lbl[1]}) times the level-{m} "
              f"{sector} numerator lands in the level-{m2} {sector2} span",
-             membership_check(
-                 lambda o, lbl=lbl, base_num=base_num: character(*lbl, o)
-                 * base_num(o),
-                 _ub(m2, sector2),
-             ))
+             membership_check(_prod(_gen(character, *lbl), _gen(base, m, 0)),
+                              _ub(m2, sector2)))
 
     # products of characters stay inside the character spaces
     conj_pairs = {
@@ -924,30 +866,18 @@ def _build_s5(reg):
             parity = (left[1] + right[1]) % 2
             cid = (f"S5.conj.case{case_no}."
                    f"{left[0]}-{left[1]}x{right[0]}-{right[1]}")
-            char_basis = branching_basis(left, right)
-            if char_basis:
+            if branching_basis(left, right):
                 _add(reg, cid, "branching", 4,
                      f"character product decomposes over level-{lvl} "
                      f"characters of parity {parity}",
-                     membership_check(
-                         lambda o, left=left, right=right:
-                         character(*left, o) * character(*right, o),
-                         lambda k, char_basis=tuple(char_basis): [
-                             character(*lbl, k) for lbl in char_basis
-                         ],
-                     ))
+                     _branching(left, right))
             else:
                 sector = "integer" if parity else "half"
                 _add(reg, cid, "membership", 4,
                      f"denominator times character product lands in the "
                      f"level-{lvl} {sector} span",
-                     membership_check(
-                         lambda o, left=left, right=right:
-                         derived_denominator(o + rat(1, 2))
-                         * character(*left, o + rat(1, 2))
-                         * character(*right, o + rat(1, 2)),
-                         _ub(lvl, sector),
-                     ))
+                     membership_check(_denominator_times(left, right),
+                                      _ub(lvl, sector)))
 
     # derived denominator structure and uses
     def zcoset_run(order):
@@ -966,19 +896,14 @@ def _build_s5(reg):
          "denominator times even level-2 characters spans the level-2 "
          "numerator family",
          span_check(
-             lambda k: [
-                 derived_denominator(k + rat(1, 2))
-                 * character(2, m2, k + rat(1, 2))
-                 for m2 in (0, 2)
-             ],
+             lambda k: [_denominator_times((2, m2))(k) for m2 in (0, 2)],
              lambda k: [numerator(2, s, k) for s in (rat(1, 2), rat(3, 2))],
          ))
     _add(reg, "S5.denominator.prop.m1-1", "membership", 4,
          "denominator times the odd level-1 character is proportional to the "
          "level-1 integer numerator",
          membership_check(
-             lambda o: derived_denominator(o + rat(1, 2))
-             * character(1, 1, o + rat(1, 2)),
+             _denominator_times((1, 1)),
              lambda k: [numerator(1, rat(1), k)],
          ))
 

@@ -1,4 +1,6 @@
+import dataclasses
 import fractions
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ import sys
 import pytest
 
 import thetaq
-from thetaq import cli
+from thetaq import identities
 from thetaq._rational import rat
 from thetaq.cli import main
 from thetaq.series import InsufficientOrderError
@@ -133,12 +135,109 @@ def test_branch_exits_2_when_certification_is_exhausted(capsys, monkeypatch):
     def always_short(target, basis, order):
         raise InsufficientOrderError("short", max_order=order - rat(1, 8))
 
-    monkeypatch.setattr(cli, "decompose", always_short)
+    monkeypatch.setattr(identities, "decompose", always_short)
     rc, out, err = run_cli("branch", "--left", "1:0", "--right", "1:1",
                            "--order", "2", capsys=capsys)
     assert rc == 2
     assert out == ""
     assert "could not certify" in err
+
+
+@pytest.mark.parametrize("value", [None, [2], 1.5, True, "two", "2.0", 0, "-1"])
+def test_config_parallelism_must_be_a_positive_integer(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"parallelism": value}))
+    rc, out, err = run_cli("--config", str(cfg), "list", capsys=capsys)
+    assert rc == 2
+    assert out == ""
+    assert "parallelism must be a positive integer" in err
+
+
+@pytest.mark.parametrize("value", [2, "2"])
+def test_config_parallelism_takes_ints_and_integer_strings(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"parallelism": value}))
+    rc, _, _ = run_cli("--config", str(cfg), "verify", "--id",
+                       "S2.squares.item3", capsys=capsys)
+    assert rc == 0
+
+
+@pytest.mark.parametrize("value", [{}, 0, None, "", ["json"]])
+def test_config_output_format_must_be_a_known_name(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_format": value}))
+    rc, out, err = run_cli("--config", str(cfg), "list", capsys=capsys)
+    assert rc == 2
+    assert out == ""
+    assert "unknown format" in err
+
+
+def test_list_json_is_pinned(capsys):
+    # sha256 of `thetaq list --format json` before the registry was rewritten
+    # as law tables: ids, kinds, orders and anchors are the output contract
+    rc, out, _ = run_cli("list", "--format", "json", capsys=capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3c7d910659ed59eacff6e38178fe58a98490d01669fdf1769aa52af1d8abeebf"
+    )
+
+
+def _json_keys(*keys):
+    def check(out):
+        obj = json.loads(out)
+        rows = obj if isinstance(obj, list) else [obj]
+        assert rows and all(set(row) == set(keys) for row in rows)
+
+    return check
+
+
+def _has(text):
+    def check(out):
+        assert text in out
+
+    return check
+
+
+def _failing(order):
+    return False, (rat(1, 2), rat(-1))
+
+
+def _raising(order):
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("argv, run, rc, check", [
+    (["expand", "eta", "--order", "2", "--format", "markdown"], None, 0,
+     _has("| qexp | zexp | coefficient |\n| --- | --- | --- |\n| 1/24 | 0 | 1 |")),
+    (["verify", "--id", "S2.squares.item3", "--format", "markdown"], None, 0,
+     _has("| id | kind | status | certified_order | first_mismatch |\n"
+          "| --- | --- | --- | --- | --- |\n"
+          "| S2.squares.item3 | equality | pass | 6 |  |")),
+    (["list", "--format", "json"], None, 0,
+     _json_keys("id", "kind", "default_order", "anchor")),
+    (["expand", "mumford", "--label", "10", "--order", "2"], None, 0,
+     _has("q^(1/8) * z^(-1/2) + q^(1/8) * z^(1/2)")),
+    (["expand", "ubasis", "--m", "2", "--sector", "half", "--order", "2",
+      "--format", "json"], None, 0, _json_keys("terms", "cutoff")),
+    (["verify", "--id", "S2.squares.item3"], _failing, 1,
+     _has("FAIL  S2.squares.item3  [order 6, ")),
+    (["verify", "--id", "S2.squares.item3"], _failing, 1,
+     _has(" ms]  mismatch at (q^1/2, z^-1)\n")),
+    (["verify", "--id", "S2.squares.item3"], _raising, 1,
+     _has("ERROR S2.squares.item3  [order 0, ")),
+    (["verify", "--id", "S2.squares.item3"], _raising, 1,
+     _has(" ms]  ValueError: boom\n")),
+], ids=["expand-markdown", "verify-markdown", "list-json", "expand-mumford",
+        "expand-ubasis-json", "verify-fail-status", "verify-mismatch-suffix",
+        "verify-error-status", "verify-error-suffix"])
+def test_output_paths(capsys, monkeypatch, argv, run, rc, check):
+    if run is not None:
+        reg = identities.registry()
+        case = reg["S2.squares.item3"]
+        monkeypatch.setitem(reg, case.id, dataclasses.replace(case, run=run))
+    got, out, _ = run_cli(*argv, capsys=capsys)
+    assert got == rc
+    check(out)
 
 
 def test_invalid_order(capsys):
