@@ -9,9 +9,10 @@ formulas (quarter turns, eighth turns, alternating signs) lives here; the
 Components are kept in a canonical form: a Python ``int`` when integral,
 a ``Fraction`` only when its denominator exceeds 1 (inverses of non-units,
 elimination pivots, the 1/2 prefactors).  Most coefficients are small
-integers, so their products and sums stay in ``int`` arithmetic.  An
-``int`` and a ``Fraction`` of equal value compare, hash and print alike,
-so the form never shows in a value.
+integers, so arithmetic on them stays in ``int``; the series products and
+inverses accumulate these components directly and build one ``CycloNum``
+per output term.  An ``int`` and a ``Fraction`` of equal value compare,
+hash and print alike, so the form never shows in a value.
 
 Values are immutable; ``ZERO``, ``ONE``, ``I`` and the eight units returned
 by :func:`phase` are shared singletons.

@@ -18,6 +18,7 @@ two coincidence checks.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -966,13 +967,15 @@ def run_all(order_overrides=None, jobs: int = 1, ids=None) -> list[Report]:
         o = overrides.get(i, overrides.get("*"))
         return None if o is None else rat(o)
 
-    if jobs <= 1:
+    # the pool forks all its workers up front: no more than tasks or cores
+    workers = min(jobs, len(ids), os.cpu_count() or 1)
+    if workers <= 1:
         return [run_identity(i, order_for(i)) for i in ids]
     tasks = [
         (i, None if order_for(i) is None else str(order_for(i))) for i in ids
     ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(tasks) // (jobs * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(tasks) // (workers * 4))
         return list(pool.map(_worker, tasks, chunksize=chunk))
 
 

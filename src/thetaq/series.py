@@ -24,6 +24,8 @@ Cutoffs propagate pessimistically:
 Products are truncated convolutions.  Inverses use the reciprocal
 recurrence over q-layers in one pass (Brent & Kung, "Fast algorithms for
 manipulating formal power series", J. ACM 25, 1978), not a sum of powers.
+Both accumulate each Q(zeta_8) component separately, as plain ints (or
+Fractions), and build one coefficient per output term.
 
 ``ord`` here means the smallest stored q-exponent, or the cutoff itself for
 a series with no stored terms (all that is known of such a series is that
@@ -90,6 +92,31 @@ def _series(t, den, cutoff) -> Series:
     s.cutoff = cutoff
     s._sorted = None
     return s
+
+
+def _components(items):
+    """Sorted terms ``((q, z), coeff)`` as four lists of ``(q, z, c_i)``,
+    one per component: list i holds the nonzero coefficients of w^i."""
+    parts = ([], [], [], [])
+    for (q, z), v in items:
+        for part, c in zip(parts, v.c):
+            if c:
+                part.append((q, z, c))
+    return parts
+
+
+def _gather(acc):
+    """One coefficient per key from four dicts ``{key: c_i}``, the
+    accumulated components of w^0..w^3; zero coefficients dropped."""
+    t0, t1, t2, t3 = acc
+    if not (t1 or t2 or t3):
+        return {k: CycloNum._raw(c, 0, 0, 0) for k, c in t0.items() if c}
+    out = {}
+    for k in t0.keys() | t1.keys() | t2.keys() | t3.keys():
+        c = (t0.get(k, 0), t1.get(k, 0), t2.get(k, 0), t3.get(k, 0))
+        if any(c):
+            out[k] = CycloNum._raw(*c)
+    return out
 
 
 def align(series_list, order):
@@ -278,22 +305,24 @@ class Series:
             return Series.zero(bound)
         den = lcm(self.den, other.den)
         hi = _grid_bound(bound, den)
-        out: dict = {}
-        bi = other._items_at(den)
-        for (qa, za), ca in self._items_at(den):
-            qmax = hi - qa
-            for (qb, zb), cb in bi:
-                if qb >= qmax:
-                    break
-                k = (qa + qb, za + zb)
-                cur = out.get(k)
-                p = ca * cb
-                s = p if cur is None else cur + p
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return _series(out, den, bound)
+        acc = ({}, {}, {}, {})
+        parts = _components(other._items_at(den))
+        for i, xs in enumerate(_components(self._items_at(den))):
+            for j, ys in enumerate(parts):
+                if not (xs and ys):
+                    continue
+                t = acc[(i + j) & 3]
+                neg = i + j >= 4  # w^4 = -1
+                for qa, za, x in xs:
+                    if neg:
+                        x = -x
+                    qmax = hi - qa
+                    for qb, zb, y in ys:
+                        if qb >= qmax:
+                            break
+                        k = (qa + qb, za + zb)
+                        t[k] = t.get(k, 0) + x * y
+        return _series(_gather(acc), den, bound)
 
     def times_monomial(self, coeff: CycloNum, dq=R0, dz=R0) -> Series:
         """Multiply by an exact monomial (shifts exponents, scales trust)."""
@@ -369,33 +398,38 @@ class Series:
         # bound for y, before the shift by M^{-1}
         bound = _grid_bound(target + rat(qa, den), den)
         minus_inv_lead = -inv_lead
-        layers: dict = {}  # k -> {z: -x coefficient} for 0 < k < bound
+        # k -> [(i, z, component i of the -x coefficient)] for 0 < k < bound
+        layers: dict = {}
         for (q, z), v in self._t.items():
             k = q - qa
             if 0 < k < bound:
-                layers.setdefault(k, {})[z - za] = minus_inv_lead * v
+                layers.setdefault(k, []).extend(
+                    (i, z - za, c)
+                    for i, c in enumerate((minus_inv_lead * v).c) if c
+                )
         steps = sorted(layers.items())
-        y: dict = {}
+        y: dict = {}  # e -> four {z: component i} dicts
         # only sums of x's exponents can carry a term; visit them in order
         heap = [0] if bound > 0 else []
         seen = set(heap)
         while heap:
             e = heapq.heappop(heap)
-            ye = {} if e else {0: cyclo.ONE}
+            acc = ({}, {}, {}, {}) if e else ({0: 1}, {}, {}, {})
             for k, xk in steps:
                 if k > e:
                     break
                 yd = y.get(e - k)
                 if yd is None:
                     continue
-                for zx, cx in xk.items():
-                    for zy, cy in yd.items():
-                        zz = zx + zy
-                        cur = ye.get(zz)
-                        p = cx * cy
-                        ye[zz] = p if cur is None else cur + p
-            ye = {z: c for z, c in ye.items() if not c.is_zero()}
-            if not ye:
+                for i, zx, cx in xk:
+                    for j, dj in enumerate(yd):
+                        t = acc[(i + j) & 3]
+                        x = -cx if i + j >= 4 else cx  # w^4 = -1
+                        for zy, cy in dj.items():
+                            zz = zx + zy
+                            t[zz] = t.get(zz, 0) + x * cy
+            ye = tuple({z: c for z, c in t.items() if c} for t in acc)
+            if not any(ye):
                 continue
             y[e] = ye
             for k, _ in steps:
@@ -408,7 +442,7 @@ class Series:
         out = {
             (e - qa, z - za): inv_lead * c
             for e, ye in y.items()
-            for z, c in ye.items()
+            for z, c in _gather(ye).items()
         }
         return _series(out, den, target)
 

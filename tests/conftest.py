@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +27,12 @@ def random_series(rng, nterms=5, cutoff=8):
         if q < cutoff:
             terms[(q, z)] = random_cyclo(rng)
     return Series(terms, rat(cutoff))
+
+
+def assert_canonical(x):
+    """Each component is an int, or a Fraction that is not an integer."""
+    for c in x.c:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), x
 
 
 def assert_equal_series(a, b, order, msg=""):

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +6,7 @@ from thetaq._rational import rat
 from thetaq import cyclo
 from thetaq.cyclo import CycloNum, PhaseError, phase
 
-from conftest import random_cyclo
+from conftest import assert_canonical, random_cyclo
 
 
 def test_phase_table():
@@ -104,12 +102,6 @@ def test_unit_inverse_by_table_equals_norm_inverse(k, x):
     if not x.is_zero():
         assert x.inverse() == x._norm_inverse()
         assert x * x.inverse() == cyclo.ONE
-
-
-def assert_canonical(x):
-    """Each component is an int, or a Fraction that is not an integer."""
-    for c in x.c:
-        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), x
 
 
 @settings(max_examples=80, deadline=None)

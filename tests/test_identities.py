@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from thetaq._rational import rat
-from thetaq import cyclo
+from thetaq import cyclo, identities
 from thetaq.identities import (
     UnknownIdentityError,
     equality_check,
@@ -117,6 +117,38 @@ def test_run_all_parallel_matches_serial():
     parallel = run_all(ids=ids, jobs=2)
     for a, b in zip(serial, parallel):
         assert a.json_obj() == b.json_obj()
+
+
+def test_run_all_pool_is_no_larger_than_tasks_or_cores(monkeypatch):
+    # a stand-in executor records the pool size and maps serially, so no
+    # process is started whatever ``jobs`` says
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(identities, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(identities.os, "cpu_count", lambda: 64)
+    ids = ["S2.mumford.item1", "S2.mumford.item2", "S2.squares.item1"]
+    serial = [r.json_obj() for r in run_all(ids=ids)]
+    assert [r.json_obj() for r in run_all(jobs=10**6, ids=ids)] == serial
+    assert sizes == [3]
+    one = run_all(jobs=5, ids=ids[:1])
+    assert sizes == [3]  # one task: the serial path, no executor
+    assert [r.json_obj() for r in one] == serial[:1]
+    monkeypatch.setattr(identities.os, "cpu_count", lambda: 2)
+    assert [r.json_obj() for r in run_all(jobs=10**6, ids=ids)] == serial
+    assert sizes == [3, 2]
 
 
 def test_order_override():

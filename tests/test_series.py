@@ -10,7 +10,7 @@ from thetaq.cyclo import CycloNum
 from thetaq.series import InsufficientOrderError, NonUnitLeadingError, Series
 from thetaq.thetalib import eta, mumford, theta_jm
 
-from conftest import assert_equal_series, random_series
+from conftest import assert_canonical, assert_equal_series, random_series
 
 
 def S(pairs, cutoff=INF):
@@ -99,9 +99,22 @@ def test_inverse_of_exact_needs_order():
     assert inv.cutoff == 3
 
 
+def truncated_product(a, b, bound):
+    """Term-by-term CycloNum convolution of two ``{(qexp, zexp): coeff}``
+    dicts, keeping q-exponents below ``bound``; zero sums dropped."""
+    out = {}
+    for (qa, za), ca in a.items():
+        for (qb, zb), cb in b.items():
+            k = (qa + qb, za + zb)
+            if k[0] < bound:
+                out[k] = out[k] + ca * cb if k in out else ca * cb
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
 def geometric_inverse(s, order=None):
-    """Reference inverse: M^{-1} sum_n (-x)^n for s = M (1 + x), summed one
-    truncated product per power until the next power starts at the bound."""
+    """Reference inverse ``(terms, cutoff)``: M^{-1} sum_n (-x)^n for
+    s = M (1 + x), one term-by-term truncated product per power, until a
+    power has no terms below the bound (x has only positive q-exponents)."""
     ((qa, za), ca), = s.leading_layer().items()
     if s.cutoff == INF:
         target = rat(order)
@@ -111,23 +124,17 @@ def geometric_inverse(s, order=None):
             target = rat(order)
     inv_lead = ca.inverse()
     bound = target + qa
-    x_series = Series(
-        {(q - qa, z - za): inv_lead * v for (q, z), v in s.terms.items()
-         if (q, z) != (qa, za) and q - qa < bound},
-        bound, _normalized=True,
-    )
-    acc = Series.one(bound)
-    if not x_series.is_zero_series():
-        delta = x_series.ord
-        power = Series.one(bound)
-        k = rat(0)
-        while k + delta < bound:
-            power = power._mul_trunc(-x_series, bound)
-            if power.is_zero_series():
-                break
-            acc = acc + power
-            k = power.ord
-    return acc.times_monomial(inv_lead, -qa, -za)
+    minus_x = {(q - qa, z - za): -(inv_lead * v) for (q, z), v in s.terms.items()
+               if (q, z) != (qa, za) and q - qa < bound}
+    power = {(rat(0), rat(0)): cyclo.ONE} if bound > 0 else {}
+    acc = dict(power)
+    while power:
+        power = truncated_product(power, minus_x, bound)
+        for k, v in power.items():
+            acc[k] = acc[k] + v if k in acc else v
+    terms = {(q - qa, z - za): inv_lead * v for (q, z), v in acc.items()
+             if not v.is_zero()}
+    return terms, target
 
 
 W = cyclo.phase(rat(1, 8))
@@ -171,9 +178,9 @@ def invertible_series(draw):
 def test_inverse_matches_geometric_reference(case):
     s, order = case
     inv = s.inverse(order)
-    ref = geometric_inverse(s, order)
-    assert inv.terms == ref.terms
-    assert inv.cutoff == ref.cutoff
+    terms, cutoff = geometric_inverse(s, order)
+    assert inv.terms == terms
+    assert inv.cutoff == cutoff
     prod = s * inv
     assert_equal_series(prod, Series.one(), prod.cutoff)
 
@@ -283,13 +290,7 @@ def fraction_product(a, b):
     """Reference product on the Fraction-keyed terms, with the propagated
     cutoff."""
     cut = min(a.cutoff + b.ord, b.cutoff + a.ord)
-    out = {}
-    for (qa, za), ca in a.terms.items():
-        for (qb, zb), cb in b.terms.items():
-            k = (qa + qb, za + zb)
-            if k[0] < cut:
-                out[k] = out[k] + ca * cb if k in out else ca * cb
-    return {k: v for k, v in out.items() if not v.is_zero()}, cut
+    return truncated_product(a.terms, b.terms, cut), cut
 
 
 def test_equal_series_hash_equal_across_denominators():
@@ -382,3 +383,52 @@ def test_boundary_exponents_are_fractions(a, b):
     ints = Series({(0, 1): cyclo.ONE, (2, 0): cyclo.MINUS_ONE})
     assert all(type(x) is Fraction for q, z, _ in ints.monomials()
                for x in (q, z))
+
+
+# -- the product and inverse kernels accumulate each Q(zeta_8) component on
+# -- its own: their output must still be one canonical, nonzero coefficient
+# -- per key, equal to the term-by-term CycloNum result
+
+# Fraction and non-rational components, units, and their sums
+FORM_COEFFS = (CycloNum(rat(1, 2), 0, 0, -1), cyclo.ONE + W, CycloNum(rat(-2, 3)),
+               cyclo.I, -W, cyclo.MINUS_ONE)
+form_q = st.integers(-2, 4).map(lambda n: rat(n, 2))
+
+
+@st.composite
+def form_series(draw):
+    """A few terms on a coarse grid, so that products collide and cancel."""
+    terms = draw(st.dictionaries(
+        st.tuples(form_q, st.integers(-1, 1).map(rat)),
+        st.sampled_from(FORM_COEFFS), max_size=5))
+    return Series(terms, draw(st.one_of(st.just(INF), form_q.map(lambda q: q + 2))))
+
+
+def assert_kernel_form(s):
+    for c in s.terms.values():
+        assert not c.is_zero()
+        assert_canonical(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(form_series(), form_series(), invertible_series())
+def test_products_and_inverses_store_canonical_nonzero_coefficients(a, b, case):
+    # in (a + b)(a - b) the cross terms ab and ba cancel key by key
+    for x, y in ((a, b), (a + b, a - b)):
+        prod = x * y
+        assert_kernel_form(prod)
+        assert (prod.terms, prod.cutoff) == fraction_product(x, y)
+    s, order = case
+    inv = s.inverse(order)
+    assert_kernel_form(inv)
+    assert (inv.terms, inv.cutoff) == geometric_inverse(s, order)
+
+
+def test_term_cancelled_only_by_w4_fold_is_dropped():
+    # (1 + w^2 q)(w^2 + q) = w^2 + (1 + w^4) q + w^2 q^2, and w^4 = -1
+    a = Series({(rat(0), rat(0)): cyclo.ONE, (rat(1), rat(0)): cyclo.I}, 5)
+    b = Series({(rat(0), rat(0)): cyclo.I, (rat(1), rat(0)): cyclo.ONE}, 5)
+    prod = a * b
+    assert prod.cutoff == 5
+    assert prod.terms == {(0, 0): cyclo.I, (2, 0): cyclo.I}
+    assert (1, 0) not in prod.terms
