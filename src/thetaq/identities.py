@@ -91,16 +91,20 @@ class Report:
 # ---------------------------------------------------------------------------
 # check constructors
 
+_HEAD = rat(1, 2)
+
 
 def _retried(attempt):
     """The check ``order -> (ok, first mismatch)`` of ``attempt(k, order)``,
-    which builds its inputs at ``k`` and compares below ``order``; a trust
-    shortfall reruns it at a higher ``k``."""
-    return lambda order: ensure_order(lambda k: attempt(k, order), order)
+    which builds its inputs at ``k`` and compares below ``order``.  Checks
+    multiply by factors of negative q-order, so the first ``k`` is ``order +
+    _HEAD``: the rung ``ensure_order`` reaches after one shortfall below 1/2.
+    A further shortfall reruns the attempt higher."""
+    return lambda order: ensure_order(lambda k: attempt(k + _HEAD, order), order)
 
 
 def equality_check(lhs_builder, rhs_builder):
-    """Builders are run at ``order`` and rebuilt higher on a shortfall."""
+    """Builders run at ``order + _HEAD`` and are rebuilt higher if short."""
     return _retried(
         lambda k, order: lhs_builder(k).equal_up_to(rhs_builder(k), order)
     )
@@ -179,15 +183,13 @@ def _shifted(build, qpow, zpow=R0, coeff=cyclo.ONE):
 
 
 def _denominator_times(*labels):
-    """``order -> derived_denominator * product of the characters labels``,
-    built 1/2 above ``order``: the denominator's negative order cuts the
-    product's cutoff."""
+    """``order -> derived_denominator * product of the characters labels``;
+    the denominator's negative order is covered by the checks' ``_HEAD``."""
 
     def b(o):
-        k = o + rat(1, 2)
-        out = derived_denominator(k)
+        out = derived_denominator(o)
         for lbl in labels:
-            out = out * character(*lbl, k)
+            out = out * character(*lbl, o)
         return out
 
     return b
@@ -196,7 +198,7 @@ def _denominator_times(*labels):
 def branch_product(left, right, order):
     """Decompose a product of two supported characters over the characters
     of the summed level with matching label parity; returns the basis
-    labels and the Decomposition."""
+    labels and the Decomposition; its attempts run through ``_retried``."""
     for lbl in (left, right):
         if lbl not in SUPPORTED_CHARACTERS:
             raise ValueError(
@@ -210,14 +212,12 @@ def branch_product(left, right, order):
             f"of parity {(left[1] + right[1]) % 2} have closed forms"
         )
 
-    def attempt(k):
-        # head start: a factor of negative order cuts the product's cutoff
-        k += rat(1, 2)
+    def attempt(k, order):
         target = character(*left, k) * character(*right, k)
         basis = [character(*lbl, k) for lbl in basis_labels]
         return decompose(target, basis, order)
 
-    return basis_labels, ensure_order(attempt, order)
+    return basis_labels, _retried(attempt)(order)
 
 
 def _branching(left, right):

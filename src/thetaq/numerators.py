@@ -12,8 +12,8 @@ odd m (no base formula exists otherwise).
 All builders guarantee ``result.cutoff >= order`` in one build and are
 memoized per process.  Each sizes its factors from the order it must reach;
 :func:`character` builds its formula above ``order`` by the shortfall
-declared in SUPPORTED_CHARACTERS.  Checks whose inputs still fall short go
-through :func:`ensure_order`, the one retry loop.
+declared in SUPPORTED_CHARACTERS.  Registry checks build 1/2 above their
+order and rerun through :func:`ensure_order`, the one retry loop, if short.
 """
 
 from __future__ import annotations

@@ -220,3 +220,24 @@ def test_criterion10_determinism_of_verify_all():
     assert digest == VERIFY_ALL_SHA256, "verify --all report differs from the pin"
     _line(10, "PASS", f"(byte-identical JSON across runs and jobs; "
           f"{payload['summary']['total']} reports)")
+
+
+# sha256 of the raw stdout of `verify --all --order 10 --format json --jobs
+# 2`; at order 10 every case reaches deeper into the triple sums and
+# eliminations than at the default orders, so this pins them there too
+VERIFY_ALL_ORDER10_SHA256 = (
+    "82a24d519daf9513b3784bd2db36b9ff5120e557c8f8686c840fc3fc2a4538b6"
+)
+
+
+@pytest.mark.slow
+def test_criterion10_verify_all_at_order10_is_pinned():
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetaq.cli", "verify", "--all", "--order",
+         "10", "--format", "json", "--jobs", "2"],
+        capture_output=True, timeout=1200,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    assert digest == VERIFY_ALL_ORDER10_SHA256, "order-10 report differs from the pin"
+    _line(10, "PASS", "(order-10 report matches its pin)")
