@@ -9,7 +9,7 @@ branching coefficients of character products by exact linear decomposition.
 
 from ._rational import BACKEND, INF, rat, rat_from_str, rat_str
 from .cyclo import CycloNum, PhaseError, phase
-from .linsolve import Decomposition, decompose, membership, span_equal
+from .linsolve import Decomposition, decompose, membership
 from .series import InsufficientOrderError, NonUnitLeadingError, Series
 from .thetalib import ThetaSpec, bracket, eta, mumford, theta, theta_jm, theta_pm
 
@@ -34,7 +34,6 @@ __all__ = [
     "rat",
     "rat_from_str",
     "rat_str",
-    "span_equal",
     "theta",
     "theta_jm",
     "theta_pm",

@@ -15,6 +15,17 @@ on it because the candidate solution is always re-multiplied and the
 residual checked term by term.  The search and the linear system work on
 integer exponents over one denominator shared by the target and the basis
 (:func:`thetaq.series.align`).
+
+Closed rows: rows are reduced in ascending monomial order, each by the
+pivots in ascending column order.  A pivot is *closed* once every other
+column of its normalized row is a closed pivot.  A row made only of closed
+pivots is skipped uncopied, and that is exact: reducing it by its least
+column leaves only larger closed pivots, so by induction it reduces to the
+empty row, which yields no pivot and whose right side is dropped (the
+re-multiplication judges consistency).  Pivots, free columns and values are
+those of a full reduction.  The re-multiplication subtracts every
+coefficient times its basis element from the target in one accumulator
+below the order, term by term.
 """
 
 from __future__ import annotations
@@ -23,8 +34,9 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from ._rational import INF, rat, rat_str
-from .series import InsufficientOrderError, Series, align
+from ._rational import rat, rat_str
+from .series import (InsufficientOrderError, Series, _components, _convolve,
+                     _gather, _series, align)
 
 
 @dataclass
@@ -81,15 +93,16 @@ def _supports(target_row, basis_rows, hi, den):
     floor = min([target_row[0][0]] + [o for o in ords if o is not None]) - den
     work: list[tuple[int, int]] = []
 
-    def add(i, e):
-        if floor - ords[i] <= e < his[i] and e not in sets[i]:
-            sets[i].add(e)
-            work.append((i, e))
+    def grow(i, es):
+        new = es - sets[i]
+        sets[i] |= new
+        work.extend((i, e) for e in new)
 
-    for qt, zt in seeds:
-        for i, zm in enumerate(zmaps):
-            for qs in zm.get(zt, ()):
-                add(i, qt - qs)
+    for i, zm in enumerate(zmaps):
+        if zm:
+            lo, top = floor - ords[i], his[i]
+            grow(i, {e for qt, zt in seeds for qs in zm.get(zt, ())
+                     if lo <= (e := qt - qs) < top})
 
     # cross-cancellation differences between basis elements at equal zexp
     diffs: dict = {}
@@ -121,8 +134,7 @@ def _supports(target_row, basis_rows, hi, den):
                 continue
             # only the differences that land in basis j's window
             lo = bisect_left(ds, floor - ords[j] - e)
-            for d in ds[lo:bisect_left(ds, his[j] - e, lo)]:
-                add(j, e + d)
+            grow(j, {e + d for d in ds[lo:bisect_left(ds, his[j] - e, lo)]})
     return [sorted(s) for s in sets]
 
 
@@ -174,9 +186,15 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
 
     # forward elimination, rows in ascending monomial order; a pivot row
     # holds only columns >= its pivot column, so reducing by the pivots in
-    # ascending column order visits each column once
+    # ascending column order visits each column once.  A row of closed
+    # pivots is skipped untouched (see the module doc).
     pivots: dict = {}  # col -> (creation_index, rowdict, rhsval)
+    closed: set = set()
+    waiting: dict = {}  # open col -> pivots whose rows hold it
+    still_open: dict = {}  # pivot -> its row's columns not yet closed
     for key in sorted(rows):
+        if closed.issuperset(rows[key]):
+            continue  # reduces to the empty row
         row = dict(rows[key])
         rv = rhs.get(key)
         todo = [c for c in row if c in pivots]
@@ -212,6 +230,19 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
         if rv is not None:
             rv = inv * rv
         pivots[pc] = (len(pivots), row, rv)
+        # the reduced row holds no pivot but pc, so its other columns are open
+        still_open[pc] = len(row) - 1
+        for c in row:
+            if c != pc:
+                waiting.setdefault(c, []).append(pc)
+        stack = [] if still_open[pc] else [pc]
+        while stack:
+            c = stack.pop()
+            closed.add(c)
+            for p in waiting.pop(c, ()):
+                still_open[p] -= 1
+                if not still_open[p]:
+                    stack.append(p)
 
     # back-substitution in reverse creation order; free columns get zero
     values: dict = {}
@@ -249,10 +280,15 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
             max_order=certified,
         )
 
-    total = Series.zero(INF)
+    # re-multiply in full: the target's terms minus each coefficient times
+    # its basis element's, accumulated per component below hi
+    acc = ({}, {}, {}, {})
+    for t, part in zip(acc, _components(target._items_at(den))):
+        t.update(((q, z), c) for q, z, c in part if q < hi)
     for c, b in zip(coeffs, basis):
-        total = total + c * b
-    residual = (target - total).restrict(order)
+        _convolve(acc, _components(c._items()),
+                  _components(b._items_at(den)), hi, negate=True)
+    residual = _series(_gather(acc), den, order)
 
     # free columns within one whole q-unit of the window top are truncation
     # artifacts (their products straddle the order bound); only deeper free
@@ -277,10 +313,3 @@ def membership(target: Series, basis: list[Series], order):
     (bool, witness).  An under-determined decomposition is not a member."""
     dec = decompose(target, basis, order)
     return dec.status == "exact", dec.witness
-
-
-def span_equal(a: list[Series], b: list[Series], order) -> bool:
-    """Mutual membership of two generating families."""
-    return all(membership(x, b, order)[0] for x in a) and all(
-        membership(y, a, order)[0] for y in b
-    )

@@ -119,6 +119,29 @@ def _gather(acc):
     return out
 
 
+def _convolve(acc, xs, ys, hi, negate=False):
+    """Add the product of two component splits (:func:`_components`) into
+    the four accumulators ``acc``, keeping q-exponents below ``hi``;
+    subtract it instead when ``negate``.  ``ys`` must ascend in q."""
+    for i, xl in enumerate(xs):
+        if not xl:
+            continue
+        for j, yl in enumerate(ys):
+            if not yl:
+                continue
+            t = acc[(i + j) & 3]
+            neg = (i + j >= 4) != negate  # w^4 = -1
+            for qa, za, x in xl:
+                if neg:
+                    x = -x
+                qmax = hi - qa
+                for qb, zb, y in yl:
+                    if qb >= qmax:
+                        break
+                    k = (qa + qb, za + zb)
+                    t[k] = t.get(k, 0) + x * y
+
+
 def align(series_list, order):
     """The terms of several series on one grid.
 
@@ -306,22 +329,8 @@ class Series:
         den = lcm(self.den, other.den)
         hi = _grid_bound(bound, den)
         acc = ({}, {}, {}, {})
-        parts = _components(other._items_at(den))
-        for i, xs in enumerate(_components(self._items_at(den))):
-            for j, ys in enumerate(parts):
-                if not (xs and ys):
-                    continue
-                t = acc[(i + j) & 3]
-                neg = i + j >= 4  # w^4 = -1
-                for qa, za, x in xs:
-                    if neg:
-                        x = -x
-                    qmax = hi - qa
-                    for qb, zb, y in ys:
-                        if qb >= qmax:
-                            break
-                        k = (qa + qb, za + zb)
-                        t[k] = t.get(k, 0) + x * y
+        _convolve(acc, _components(self._items_at(den)),
+                  _components(other._items_at(den)), hi)
         return _series(_gather(acc), den, bound)
 
     def times_monomial(self, coeff: CycloNum, dq=R0, dz=R0) -> Series:

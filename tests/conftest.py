@@ -6,6 +6,7 @@ import pytest
 from thetaq import cyclo
 from thetaq._rational import rat
 from thetaq.cyclo import CycloNum
+from thetaq.linsolve import membership
 from thetaq.series import Series
 
 
@@ -38,6 +39,13 @@ def assert_canonical(x):
 def assert_equal_series(a, b, order, msg=""):
     ok, mismatch = a.equal_up_to(b, order)
     assert ok, f"{msg} first mismatch at {mismatch}"
+
+
+def span_equal(a, b, order):
+    """Mutual membership of two generating families."""
+    return all(membership(x, b, order)[0] for x in a) and all(
+        membership(y, a, order)[0] for y in b
+    )
 
 
 def eta_product(c, e, order):

@@ -29,11 +29,10 @@ from thetaq.numerators import (
     u_basis,
     undivided_half_combination,
 )
-from thetaq.linsolve import span_equal
 from thetaq.series import Series
 from thetaq.thetalib import eta, mumford, theta_jm
 
-from conftest import assert_equal_series, eta_product
+from conftest import assert_equal_series, eta_product, span_equal
 
 
 def _line(criterion, status, detail=""):

@@ -1,3 +1,5 @@
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from thetaq._rational import INF, rat
 from thetaq import cyclo
 from thetaq.cyclo import CycloNum
-from thetaq.linsolve import _supports, decompose, membership, span_equal
+from thetaq.linsolve import Decomposition, _supports, decompose, membership
 from thetaq.numerators import (
     SUPPORTED_CHARACTERS,
     branching_basis,
@@ -17,7 +19,7 @@ from thetaq.numerators import (
 from thetaq.series import InsufficientOrderError, Series, align
 from thetaq.thetalib import ThetaSpec, bracket, eta, mumford, theta, theta_jm
 
-from conftest import assert_equal_series
+from conftest import assert_equal_series, span_equal
 
 
 def test_trivial_projection():
@@ -239,12 +241,12 @@ small_coeffs = st.sampled_from([cyclo.ONE, cyclo.MINUS_ONE, CycloNum(2),
 
 
 @st.composite
-def sparse_series(draw):
+def sparse_series(draw, coeffs=small_coeffs, dens=MIXED_DENS):
     """Few terms on few z-exponents, so that z-matches are common; may be
     empty."""
-    q = st.builds(rat, st.integers(-3, 8), st.sampled_from(MIXED_DENS))
+    q = st.builds(rat, st.integers(-3, 8), st.sampled_from(dens))
     z = st.sampled_from([rat(0), rat(1, 2), rat(-1, 2), rat(1, 3), rat(2, 5)])
-    terms = draw(st.dictionaries(st.tuples(q, z), small_coeffs, max_size=7))
+    terms = draw(st.dictionaries(st.tuples(q, z), coeffs, max_size=7))
     return Series(terms, draw(st.one_of(st.just(INF), st.sampled_from(
         [rat(13, 2), rat(50, 7), rat(8)]))))
 
@@ -313,3 +315,258 @@ def test_decompose_round_trip(case):
         assert_equal_series(got, drawn, got.cutoff, "coefficient")
     dup = decompose(target, basis + [basis[0]], order)
     assert dup.status == "under-determined"
+
+
+def reference_decompose(target, basis, order):
+    """``decompose`` as it stood before closed rows were skipped: every row
+    is copied and reduced, and the residual is built through ``Series``
+    products, sums and ``restrict``."""
+    if not basis:
+        raise ValueError("basis must be nonempty")
+    order = rat(order)
+    if order > target.cutoff:
+        raise InsufficientOrderError("target", max_order=target.cutoff)
+    for b in basis:
+        if order > b.cutoff:
+            raise InsufficientOrderError("basis", max_order=b.cutoff)
+
+    den, hi, grid = align([target] + basis, order)
+    brows = grid[1:]
+    supports = _supports(grid[0], brows, hi, den)
+    cols = [(i, e) for i, es in enumerate(supports) for e in es]
+    col_index = {c: k for k, c in enumerate(cols)}
+
+    rows: dict = {}
+    for (i, e) in cols:
+        ci = col_index[(i, e)]
+        for q, z, coeff in brows[i]:
+            qq = e + q
+            if qq >= hi:
+                break
+            rows.setdefault((qq, z), {})[ci] = coeff
+    rhs: dict = {}
+    for q, z, coeff in grid[0]:
+        if q >= hi:
+            break
+        rhs[(q, z)] = coeff
+        rows.setdefault((q, z), {})
+
+    pivots: dict = {}  # col -> (creation_index, rowdict, rhsval)
+    for key in sorted(rows):
+        row = dict(rows[key])
+        rv = rhs.get(key)
+        todo = [c for c in row if c in pivots]
+        heapq.heapify(todo)
+        while todo:
+            c = heapq.heappop(todo)
+            factor = row.pop(c, None)
+            if factor is None:
+                continue
+            _, prow, prv = pivots[c]
+            for cc, coeff in prow.items():
+                if cc == c:
+                    continue
+                p = factor * coeff
+                cur = row.get(cc)
+                if cur is None:
+                    row[cc] = -p
+                    if cc in pivots:
+                        heapq.heappush(todo, cc)
+                elif (s := cur - p).is_zero():
+                    del row[cc]
+                else:
+                    row[cc] = s
+            if prv is not None:
+                rv = -(factor * prv) if rv is None else rv - factor * prv
+                if rv.is_zero():
+                    rv = None
+        if not row:
+            continue
+        pc = min(row)
+        inv = row[pc].inverse()
+        row = {c: inv * v for c, v in row.items()}
+        if rv is not None:
+            rv = inv * rv
+        pivots[pc] = (len(pivots), row, rv)
+
+    values: dict = {}
+    for c, (_, row, rv) in sorted(pivots.items(), key=lambda kv: -kv[1][0]):
+        acc = rv
+        for cc, coeff in row.items():
+            if cc == c:
+                continue
+            v = values.get(cc)
+            if v is None:
+                continue
+            p = coeff * v
+            acc = -p if acc is None else acc - p
+        if acc is not None and not acc.is_zero():
+            values[c] = acc
+
+    coeffs = []
+    for i, b in enumerate(basis):
+        terms = {}
+        for e in supports[i]:
+            v = values.get(col_index[(i, e)])
+            if v is not None:
+                terms[e] = v
+        coeffs.append(Series.zfree(terms, den, order - b.ord))
+
+    certified = min([order, target.cutoff] + [
+        b.cutoff + c.ord for b, c in zip(basis, coeffs) if not c.is_zero_series()
+    ])
+    if certified < order:
+        raise InsufficientOrderError("inputs", max_order=certified)
+
+    total = Series.zero(INF)
+    for c, b in zip(coeffs, basis):
+        total = total + c * b
+    residual = (target - total).restrict(order)
+
+    interior_free = [
+        (i, e)
+        for (i, e) in cols
+        if col_index[(i, e)] not in pivots and e + brows[i][0][0] < hi - den
+    ]
+    if residual.is_zero_series():
+        status = "under-determined" if interior_free else "exact"
+        witness = None
+    else:
+        status = "not-in-span"
+        q, z, _ = residual.monomials()[0]
+        witness = (q, z)
+    return Decomposition(coeffs, residual, status, order, witness)
+
+
+def outcome(solver, target, basis, order):
+    """The JSON form of a decomposition, or the order an
+    InsufficientOrderError names."""
+    try:
+        return solver(target, basis, order).json_obj()
+    except InsufficientOrderError as exc:
+        return ("insufficient", exc.max_order)
+
+
+# non-unit pivots with Fraction components
+fraction_coeffs = st.one_of(small_coeffs, st.builds(
+    lambda a, b, c: CycloNum(rat(a, 3), 0, rat(b, c), 0),
+    st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 5)))
+# q-denominators whose lcm stays small, so that windows stay small; the
+# reference cannot take an exactly known basis element without terms (its
+# product with a zero coefficient has a NaN cutoff)
+SYSTEM_DENS = (1, 2, 3)
+basis_elements = sparse_series(fraction_coeffs, SYSTEM_DENS).filter(
+    lambda b: not b.is_zero_series())
+
+
+@st.composite
+def sparse_system(draw):
+    """(target, basis): nonempty sparse basis elements, some repeated
+    (under-determined), and a target that is either random (mostly outside
+    the span) or a z-free combination of the basis, perturbed or not."""
+    basis = draw(st.lists(basis_elements, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        basis.append(basis[draw(st.integers(0, len(basis) - 1))])
+    if draw(st.booleans()):
+        return draw(sparse_series(fraction_coeffs, SYSTEM_DENS)), basis
+    exps = st.builds(rat, st.integers(0, 4), st.sampled_from(SYSTEM_DENS))
+    target = draw(st.one_of(st.just(Series.zero()),
+                            sparse_series(fraction_coeffs, SYSTEM_DENS)))
+    for b in basis:
+        terms = draw(st.dictionaries(exps, fraction_coeffs, max_size=3))
+        target = target + Series({(q, rat(0)): c for q, c in terms.items()}) * b
+    return target, basis
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_system(),
+       st.builds(rat, st.integers(-2, 6), st.sampled_from(SYSTEM_DENS)))
+def test_decompose_matches_reference_on_random_systems(system, order):
+    target, basis = system
+    order = min([order, target.cutoff] + [b.cutoff for b in basis])
+    assert outcome(decompose, target, basis, order) == outcome(
+        reference_decompose, target, basis, order)
+
+
+@pytest.mark.parametrize("order", [6, 12, 14])
+def test_decompose_matches_reference_on_branch_bases(order):
+    k = rat(order) + rat(1, 2)
+    checked = 0
+    for left in SUPPORTED_CHARACTERS:
+        for right in SUPPORTED_CHARACTERS:
+            labels = branching_basis(left, right)
+            if left > right or not labels:
+                continue
+            target = character(*left, k) * character(*right, k)
+            basis = [character(*lbl, k) for lbl in labels]
+            got = decompose(target, basis, order)
+            assert got.json_obj() == reference_decompose(
+                target, basis, order).json_obj()
+            assert got.status == "exact"
+            checked += 1
+    assert checked == 5
+
+
+def _poly(coeffs):
+    """sum of coeffs[n] * z^n at q^0, exactly known."""
+    return Series({(rat(0), rat(n)): CycloNum(c) for n, c in
+                   enumerate(coeffs) if c})
+
+
+def test_closed_pivots_skip_a_row_without_reducing_it(monkeypatch):
+    # columns A = (0, 0) < B = (1, 0).  Row z^0: {A: 2, B: 1} pivots on A
+    # while B is open; row z^1: {A: 1} reduces to {B: -1/2}, so B becomes a
+    # pivot only later, and closed at once, which closes A; row z^2:
+    # {A: 1, B: 3} then holds only closed pivots and is skipped
+    muls = []
+    mul = CycloNum.__mul__
+
+    def counted(a, b):
+        muls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(CycloNum, "__mul__", counted)
+
+    def count(solver, target, basis):
+        muls.clear()
+        dec = solver(target, basis, 1)
+        return len(muls), dec
+
+    three = (_poly([3, 1, 4]), [_poly([2, 1, 1]), _poly([1, 0, 3])])
+    two = (_poly([3, 1]), [_poly([2, 1]), _poly([1])])
+    n3, dec = count(decompose, *three)
+    n2, _ = count(decompose, *two)
+    ref3, ref = count(reference_decompose, *three)
+    ref2, _ = count(reference_decompose, *two)
+    assert dec.json_obj() == ref.json_obj()
+    assert dec.status == "exact"
+    assert [c.json_obj()["terms"] for c in dec.coefficients] == [
+        [["0", "0", ["1", "0", "0", "0"]]]] * 2
+    # the third row costs the reference multiplications and costs none here
+    assert ref3 > ref2
+    assert n3 == n2
+
+
+def test_residual_lies_below_order_and_keeps_its_witness():
+    order = rat(4)
+    K = rat(8)
+    b = theta_jm(0, 1, K)
+    # g is z-free, so g * b lies in the span; its products straddle the order
+    g = eta(1, 2, K)
+    below = Series.monomial(cyclo.ONE, order - rat(1, 7), rat(1, 3))
+    at_or_above = Series({(order, rat(1, 3)): cyclo.ONE,
+                          (order + rat(1, 7), rat(1, 3)): cyclo.I})
+    outside = theta_jm(1, 1, K)
+    for target in (g * b + outside + at_or_above, g * b + below + at_or_above):
+        assert target.cutoff > order
+        assert any(q >= order for q, _, _ in target.monomials())
+        dec = decompose(target, [b], order)
+        assert dec.status == "not-in-span"
+        assert dec.residual.cutoff == order
+        assert dec.residual.monomials()
+        assert all(q < order for q, _, _ in dec.residual.monomials())
+        assert dec.json_obj() == reference_decompose(
+            target, [b], order).json_obj()
+    # the only mismatch lies just below the order
+    assert dec.witness == (order - rat(1, 7), rat(1, 3))
+    assert len(dec.residual.monomials()) == 1
