@@ -656,19 +656,17 @@ def _vgens(m, sector):
 
 def _generator_multiples_check(factor, m, sector, m2, sector2):
     """factor times every level-m sector generator lies in the level-m2
-    sector2 span."""
+    sector2 span; the first failing membership is the witness."""
 
-    def run(order):
-        for i in range(len(u_basis(m, sector, order))):
-            ok, wit = membership_check(
-                _prod(factor, lambda o, i=i: u_basis(m, sector, o)[i]),
-                _ub(m2, sector2),
-            )(order)
+    def attempt(k, order):
+        f, span = factor(k), u_basis(m2, sector2, k)
+        for g in u_basis(m, sector, k):
+            ok, wit = membership(f * g, span, order)
             if not ok:
                 return False, wit
         return True, None
 
-    return run
+    return _retried(attempt)
 
 
 def _build_s5(reg):
@@ -951,9 +949,7 @@ def run_identity(id_: str, order=None) -> Report:
 
 
 def _worker(args):
-    id_, order_str = args
-    order = None if order_str is None else rat(order_str)
-    return run_identity(id_, order)
+    return run_identity(*args)
 
 
 def run_all(order_overrides=None, jobs: int = 1, ids=None) -> list[Report]:
@@ -967,13 +963,11 @@ def run_all(order_overrides=None, jobs: int = 1, ids=None) -> list[Report]:
         o = overrides.get(i, overrides.get("*"))
         return None if o is None else rat(o)
 
+    tasks = [(i, order_for(i)) for i in ids]
     # the pool forks all its workers up front: no more than tasks or cores
     workers = min(jobs, len(ids), os.cpu_count() or 1)
     if workers <= 1:
-        return [run_identity(i, order_for(i)) for i in ids]
-    tasks = [
-        (i, None if order_for(i) is None else str(order_for(i))) for i in ids
-    ]
+        return [run_identity(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (workers * 4))
         return list(pool.map(_worker, tasks, chunksize=chunk))

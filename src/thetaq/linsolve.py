@@ -267,8 +267,8 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
         for e in supports[i]:
             v = values.get(col_index[(i, e)])
             if v is not None:
-                terms[e] = v
-        coeffs.append(Series.zfree(terms, den, order - b.ord))
+                terms[(e, 0)] = v
+        coeffs.append(_series(terms, den, order - b.ord))
 
     certified = min([order, target.cutoff] + [
         b.cutoff + c.ord for b, c in zip(basis, coeffs) if not c.is_zero_series()

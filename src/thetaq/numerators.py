@@ -332,8 +332,6 @@ def numerator(m: int, s, order) -> Series:
     if (2 * s).denominator != 1:
         raise ValueError("s must be a half-integer")
     half_sector = s.denominator == 2
-    if not half_sector and m % 2 == 0:
-        raise ValueError("integer-s numerator undefined for even m")
     order = rat(order)
 
     def build():

@@ -184,16 +184,13 @@ class _FractionTerms(Mapping):
 class Series:
     __slots__ = ("_t", "den", "cutoff", "_sorted")
 
-    def __init__(self, terms=None, cutoff=INF, _normalized=False):
+    def __init__(self, terms=None, cutoff=INF):
         """Build from ``{(qexp, zexp): coeff}`` with rational exponents."""
-        if terms is None:
-            terms = {}
-        if not _normalized:
-            terms = {
-                k: v
-                for k, v in terms.items()
-                if k[0] < cutoff and not v.is_zero()
-            }
+        terms = {
+            k: v
+            for k, v in (terms or {}).items()
+            if k[0] < cutoff and not v.is_zero()
+        }
         den = lcm(*{x.denominator for k in terms for x in k})
         self._t = {
             (q.numerator * (den // q.denominator),
@@ -214,17 +211,11 @@ class Series:
     def monomial(coeff: CycloNum, qexp=R0, zexp=R0, cutoff=INF) -> Series:
         if coeff.is_zero() or qexp >= cutoff:
             return Series.zero(cutoff)
-        return Series({(rat(qexp), rat(zexp)): coeff}, cutoff, _normalized=True)
+        return Series({(rat(qexp), rat(zexp)): coeff}, cutoff)
 
     @staticmethod
     def one(cutoff=INF) -> Series:
         return Series.monomial(cyclo.ONE, cutoff=cutoff)
-
-    @staticmethod
-    def zfree(coeffs: dict, den: int, cutoff) -> Series:
-        """sum of ``coeffs[e] * q^(e/den)``: int exponents, nonzero
-        coefficients, all below ``cutoff``."""
-        return _series({(e, 0): v for e, v in coeffs.items()}, den, cutoff)
 
     # -- structure ---------------------------------------------------------
 
@@ -270,11 +261,6 @@ class Series:
 
     def is_zfree(self) -> bool:
         return all(z == 0 for _, z in self._t)
-
-    def leading_layer(self):
-        """All (qexp, zexp) -> coeff at the minimal stored q-exponent."""
-        o = self.ord
-        return {(q, z): c for q, z, c in self.monomials() if q == o}
 
     def restrict(self, order) -> Series:
         """Drop terms at or above ``order`` and lower the cutoff to it."""
@@ -348,29 +334,6 @@ class Series:
             for (q, z), v in self._t.items()
         }
         return _series(out, den, self.cutoff + dq)
-
-    def scale_args(self, cq, cz) -> Series:
-        """Exponent rescaling (q, z) -> (cq*q, cz*z); models tau -> cq*tau,
-        z -> cz*z.  Requires cq > 0."""
-        cq = rat(cq)
-        cz = rat(cz)
-        if cq <= 0:
-            raise ValueError("q-scale must be positive")
-        lq = lcm(cq.denominator, cz.denominator)
-        fq = cq.numerator * (lq // cq.denominator)
-        fz = cz.numerator * (lq // cz.denominator)
-        out = {(fq * q, fz * z): v for (q, z), v in self._t.items()}
-        if len(out) != len(self._t):  # cz == 0 can merge monomials
-            out = {}
-            for (q, z), v in self._t.items():
-                k = (fq * q, fz * z)
-                cur = out.get(k)
-                s = v if cur is None else cur + v
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return _series(*_reduced(out, self.den * lq), cq * self.cutoff)
 
     def inverse(self, order=None) -> Series:
         """Multiplicative inverse up to the propagated trusted order.
@@ -454,19 +417,6 @@ class Series:
             for z, c in _gather(ye).items()
         }
         return _series(out, den, target)
-
-    def pow(self, n: int) -> Series:
-        if n < 0:
-            return self.inverse().pow(-n)
-        out = Series.one(cutoff=INF)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
 
     # -- comparison ---------------------------------------------------------
 

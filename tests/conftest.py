@@ -48,6 +48,19 @@ def span_equal(a, b, order):
     )
 
 
+def scale_args(s, cq, cz):
+    """``s`` with exponents rescaled (q, z) -> (cq*q, cz*z), i.e. tau ->
+    cq*tau and z -> cz*z, cutoff times cq; monomials that meet are summed
+    (cz == 0 projects onto the z-free part).  Requires cq > 0."""
+    cq, cz = rat(cq), rat(cz)
+    assert cq > 0
+    terms = {}
+    for q, z, c in s.monomials():
+        k = (cq * q, cz * z)
+        terms[k] = terms[k] + c if k in terms else c
+    return Series(terms, cq * s.cutoff)
+
+
 def eta_product(c, e, order):
     """eta(c*tau)^e from its defining product: q^{ce/24} times the e-th power
     of prod (1 - q^{cn}), one binomial factor at a time, below ``order``.
@@ -65,10 +78,9 @@ def eta_product(c, e, order):
                          (c * n, rat(0)): cyclo.MINUS_ONE}, bound)
         base = base._mul_trunc(factor, bound)
         n += 1
-    if e >= 0:
-        pw = Series.one(bound)
-        for _ in range(e):
-            pw = pw._mul_trunc(base, bound)
-    else:
-        pw = base.pow(-e).inverse(order=bound)
+    pw = Series.one(bound)
+    for _ in range(abs(e)):
+        pw = pw._mul_trunc(base, bound)
+    if e < 0:
+        pw = pw.inverse(order=bound)
     return pw.times_monomial(cyclo.ONE, shift, rat(0))

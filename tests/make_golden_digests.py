@@ -39,6 +39,8 @@ from thetaq.numerators import (
 from thetaq.series import Series
 from thetaq.thetalib import ThetaSpec, eta, mumford, theta, theta_jm, theta_pm
 
+from conftest import scale_args
+
 PATH = Path(__file__).resolve().parent / "golden_digests.json"
 
 #: the random series below draw their exponent denominators from here
@@ -128,7 +130,7 @@ def builds():
         series(lambda: theta(ThetaSpec(1, 2, qscale=rat(3, 7)), 7)
                * theta_jm(1, 1, 7) + eta(rat(1, 5), 1, 6)))
     add("numerator_half(2,0,6).scale_args(3/7,1/3)",
-        series(lambda: numerator_half(2, 0, 6).scale_args(rat(3, 7), rat(1, 3))))
+        series(lambda: scale_args(numerator_half(2, 0, 6), rat(3, 7), rat(1, 3))))
     add("decompose(theta(zcoeff=1/3) products)", lambda: decompose(
         theta(ThetaSpec(0, 1, zcoeff=rat(1, 3)), 8)
         * eta(rat(1, 5), 1, 8).restrict(8),

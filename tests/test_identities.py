@@ -283,3 +283,53 @@ def test_perfbench_tracer_counts_registry_retries():
         "numerators.ensure_order.runs": 2,
         "numerators.ensure_order.reruns": 1,
     }
+
+
+@pytest.mark.slow
+def test_perfbench_tracer_counts_closure_builds():
+    # a closure check is one attempt: the factor, both sector bases and
+    # every membership at one build order; `decompose`'s input terms are
+    # read through `Series.terms`
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = (
+        "import json, tracer\n"
+        "t = tracer.install()\n"
+        "from thetaq.identities import run_identity\n"
+        "out = {}\n"
+        "for i in ('S5.closure.item1.m2', 'S5.charclosure.U.ch1-0.m3.half'):\n"
+        "    before = dict(t.counts)\n"
+        "    assert run_identity(i).status == 'pass'\n"
+        "    out[i] = {k: t.counts[k] - before.get(k, 0) for k in (\n"
+        "        'numerators.ensure_order.calls', 'numerators.u_basis.calls',\n"
+        "        'linsolve.decompose.calls', 'linsolve.decompose.input_terms')}\n"
+        "print(json.dumps(out))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ,
+             "PYTHONPATH": os.pathsep.join([str(root / "src"),
+                                            str(root / "perfbench")])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    for case, terms in (("S5.closure.item1.m2", 196),
+                        ("S5.charclosure.U.ch1-0.m3.half", 236)):
+        assert counts[case] == {
+            "numerators.ensure_order.calls": 1,
+            "numerators.u_basis.calls": 2,
+            "linsolve.decompose.calls": 2,
+            "linsolve.decompose.input_terms": terms,
+        }, case
+
+
+def test_closure_check_builds_its_bases_once(monkeypatch):
+    orders = []
+    u_basis = identities.u_basis
+
+    def recording(m, sector, order):
+        orders.append(order)
+        return u_basis(m, sector, order)
+
+    monkeypatch.setattr(identities, "u_basis", recording)
+    assert run_identity("S5.closure.item1.m2", rat(4)).status == "pass"
+    assert orders == [rat(9, 2), rat(9, 2)]

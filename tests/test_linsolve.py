@@ -16,7 +16,7 @@ from thetaq.numerators import (
     ratio_pair,
     u_basis,
 )
-from thetaq.series import InsufficientOrderError, Series, align
+from thetaq.series import InsufficientOrderError, Series, _series, align
 from thetaq.thetalib import ThetaSpec, bracket, eta, mumford, theta, theta_jm
 
 from conftest import assert_equal_series, span_equal
@@ -39,10 +39,10 @@ def test_squares_note_coefficients():
     dec = decompose(target, [mumford("00", K), mumford("01", K)], 6)
     assert dec.status == "exact"
     half = cyclo.from_rational(rat(1, 2))
-    c0 = (eta(1, 1, K) * (eta(1, 2, K) * eta(rat(1, 2), -1, K)
-                          * eta(2, -1, K)).pow(2)).times_monomial(half)
-    c1 = (eta(1, 1, K) * (eta(rat(1, 2), 1, K)
-                          * eta(1, -1, K)).pow(2)).times_monomial(half)
+    a = eta(1, 2, K) * eta(rat(1, 2), -1, K) * eta(2, -1, K)
+    b = eta(rat(1, 2), 1, K) * eta(1, -1, K)
+    c0 = (eta(1, 1, K) * (a * a)).times_monomial(half)
+    c1 = (eta(1, 1, K) * (b * b)).times_monomial(half)
     for got, expect in zip(dec.coefficients, (c0, c1)):
         o = min(rat(6), got.cutoff, expect.cutoff)
         assert_equal_series(got, expect, o)
@@ -409,8 +409,8 @@ def reference_decompose(target, basis, order):
         for e in supports[i]:
             v = values.get(col_index[(i, e)])
             if v is not None:
-                terms[e] = v
-        coeffs.append(Series.zfree(terms, den, order - b.ord))
+                terms[(e, 0)] = v
+        coeffs.append(_series(terms, den, order - b.ord))
 
     certified = min([order, target.cutoff] + [
         b.cutoff + c.ord for b, c in zip(basis, coeffs) if not c.is_zero_series()

@@ -235,7 +235,7 @@ def reference_coset_sum(n0, aa, bb, order, term):
             terms.pop(key, None)
         else:
             terms[key] = s
-    return Series(terms, order, _normalized=True)
+    return Series(terms, order)
 
 
 # denominators up to 48, with 5 and 7 among them
