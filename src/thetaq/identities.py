@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from . import cyclo
 from ._rational import R0, rat, rat_str
@@ -56,24 +54,26 @@ from .thetalib import (
 )
 
 
-@dataclass(frozen=True)
 class IdentityCase:
-    id: str
-    kind: str  # equality | p-independence | membership | span | zfree | branching
-    default_order: object
-    anchor: str
-    run: object  # order -> (ok, first mismatch or None)
+    # kind: equality | p-independence | membership | span | zfree | branching
+    def __init__(self, id, kind, default_order, anchor, run):
+        self.id = id
+        self.kind = kind
+        self.default_order = default_order
+        self.anchor = anchor
+        self.run = run  # order -> (ok, first mismatch or None)
 
 
-@dataclass
 class Report:
-    id: str
-    kind: str
-    status: str  # pass | fail | error
-    certified_order: object
-    first_mismatch: tuple | None
-    wall_ms: float
-    error: str | None = None
+    def __init__(self, id, kind, status, certified_order, first_mismatch,
+                 wall_ms, error=None):
+        self.id = id
+        self.kind = kind
+        self.status = status  # pass | fail | error
+        self.certified_order = certified_order
+        self.first_mismatch = first_mismatch
+        self.wall_ms = wall_ms
+        self.error = error
 
     def json_obj(self, include_timing: bool = False):
         return {
@@ -968,6 +968,10 @@ def run_all(order_overrides=None, jobs: int = 1, ids=None) -> list[Report]:
     workers = min(jobs, len(ids), os.cpu_count() or 1)
     if workers <= 1:
         return [run_identity(*t) for t in tasks]
+    # imported only here: multiprocessing and the modules it loads would
+    # add 16-30 ms to the start of every serial run
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (workers * 4))
         return list(pool.map(_worker, tasks, chunksize=chunk))

@@ -32,14 +32,12 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from ._rational import rat, rat_str
 from .series import (InsufficientOrderError, Series, _components, _convolve,
                      _gather, _series, align)
 
 
-@dataclass
 class Decomposition:
     """Outcome of :func:`decompose`.
 
@@ -50,11 +48,12 @@ class Decomposition:
     membership: an under-determined result is *not* a member.
     """
 
-    coefficients: list
-    residual: Series
-    status: str  # exact | not-in-span | under-determined
-    certified_order: object
-    witness: tuple | None
+    def __init__(self, coefficients, residual, status, certified_order, witness):
+        self.coefficients = coefficients
+        self.residual = residual
+        self.status = status  # exact | not-in-span | under-determined
+        self.certified_order = certified_order
+        self.witness = witness
 
     def json_obj(self):
         return {

@@ -10,10 +10,12 @@ slip.  Sector rule: half-integer s for every level m, integer s only for
 odd m (no base formula exists otherwise).
 
 All builders guarantee ``result.cutoff >= order`` in one build and are
-memoized per process.  Each sizes its factors from the order it must reach;
-:func:`character` builds its formula above ``order`` by the shortfall
-declared in SUPPORTED_CHARACTERS.  Registry checks build 1/2 above their
-order and rerun through :func:`ensure_order`, the one retry loop, if short.
+memoized per process in the one build table of :mod:`thetaq.thetalib`,
+with its thetas and etas.  Each sizes its factors from the order it must
+reach; :func:`character` builds its formula above ``order`` by the
+shortfall declared in SUPPORTED_CHARACTERS.  Registry checks build 1/2
+above their order and rerun through :func:`ensure_order`, the one retry
+loop, if short.
 """
 
 from __future__ import annotations
@@ -30,16 +32,16 @@ from .series import (
     _reduced,
     _series,
 )
-from .thetalib import _coset_range, bracket, eta, mumford, theta_jm, theta_pm
-
-_cache: dict = {}
-
-
-def _cached(key, build):
-    hit = _cache.get(key)
-    if hit is None:
-        hit = _cache[key] = build()
-    return hit
+from .thetalib import (
+    _cache,  # noqa: F401  (the table's name here, for tests and tracing)
+    _cached,
+    _coset_range,
+    bracket,
+    eta,
+    mumford,
+    theta_jm,
+    theta_pm,
+)
 
 
 def ensure_order(attempt, order):

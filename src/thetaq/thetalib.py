@@ -31,7 +31,6 @@ nova theoriae functionum ellipticarum, 1829, section 66).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import cyclo
 from ._rational import R0, R1, rat
@@ -39,26 +38,47 @@ from .cyclo import CycloNum, PhaseError
 from .series import Series, _grid_bound, _reduced, _series
 
 
-@dataclass(frozen=True)
+_cache: dict = {}
+
+
+def _cached(key, build):
+    """The one build table of the process: ``build()`` once per key.  Keys
+    are tuples tagged by their builder; an error is raised, not stored."""
+    hit = _cache.get(key)
+    if hit is None:
+        hit = _cache[key] = build()
+    return hit
+
+
 class ThetaSpec:
     """theta_{j,m}(qscale * tau, zcoeff * z + tshift * tau + cshift)."""
 
-    j: object
-    m: object
-    qscale: object = 1
-    zcoeff: object = 1
-    tshift: object = 0
-    cshift: object = 0
+    def __init__(self, j, m, qscale=1, zcoeff=1, tshift=0, cshift=0):
+        self.j = j
+        self.m = m
+        self.qscale = qscale
+        self.zcoeff = zcoeff
+        self.tshift = tshift
+        self.cshift = cshift
+
+    def _fields(self):
+        return (self.j, self.m, self.qscale, self.zcoeff, self.tshift, self.cshift)
+
+    def __eq__(self, other):
+        if other.__class__ is not ThetaSpec:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        names = ("j", "m", "qscale", "zcoeff", "tshift", "cshift")
+        args = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields()))
+        return f"ThetaSpec({args})"
 
     def normalized(self) -> "ThetaSpec":
-        return ThetaSpec(
-            rat(self.j),
-            rat(self.m),
-            rat(self.qscale),
-            rat(self.zcoeff),
-            rat(self.tshift),
-            rat(self.cshift),
-        )
+        return ThetaSpec(*map(rat, self._fields()))
 
 
 def _below(a, b, c):
@@ -128,17 +148,16 @@ def _coset_sum(n0, aa, bb, zc, order, u0=0, u1=0) -> Series:
 
 
 def theta(spec: ThetaSpec, order) -> Series:
-    """Expand a (possibly argument-shifted) Jacobi theta below ``order``."""
-    spec = spec.normalized()
-    order = rat(order)
-    j, m, c1, a, b, c = (
-        spec.j,
-        spec.m,
-        spec.qscale,
-        spec.zcoeff,
-        spec.tshift,
-        spec.cshift,
-    )
+    """Expand a (possibly argument-shifted) Jacobi theta below ``order``.
+
+    Built once per process for each set of arguments as given (equal
+    numbers give equal keys), so a hit does no normalization."""
+    return _cached(("theta", *spec._fields(), order),
+                   lambda: _theta(spec.normalized(), rat(order)))
+
+
+def _theta(spec, order) -> Series:
+    j, m, c1, a, b, c = spec._fields()
     if m <= 0:
         raise ValueError("theta degree must be positive")
     if c1 <= 0:
@@ -208,17 +227,19 @@ def _euler_power(c, cube, bound) -> Series:
 
 
 def eta(c, e: int, order) -> Series:
-    """eta(c * tau)^e below ``order``.
+    """eta(c * tau)^e below ``order``, built once per process for each set
+    of arguments as given (see :func:`theta`).
 
     The product prod (1 - q^{cn}) and its cube come from their series
     (:func:`_euler_power`); other powers are products of those, negative
     powers their recurrence inverse.
     """
-    c = rat(c)
-    order = rat(order)
+    return _cached(("eta", c, e, order), lambda: _eta(rat(c), int(e), rat(order)))
+
+
+def _eta(c, e, order) -> Series:
     if c <= 0:
         raise ValueError("eta scale must be positive")
-    e = int(e)
     shift = c * e * rat(1, 24)
     bound = order - shift
     if bound <= 0:

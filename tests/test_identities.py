@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -223,7 +224,8 @@ def test_run_all_pool_is_no_larger_than_tasks_or_cores(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(identities, "ProcessPoolExecutor", RecordingPool)
+    # run_all imports the executor from concurrent.futures when a pool runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(identities.os, "cpu_count", lambda: 64)
     ids = ["S2.mumford.item1", "S2.mumford.item2", "S2.squares.item1"]
     serial = [r.json_obj() for r in run_all(ids=ids)]
@@ -235,6 +237,32 @@ def test_run_all_pool_is_no_larger_than_tasks_or_cores(monkeypatch):
     monkeypatch.setattr(identities.os, "cpu_count", lambda: 2)
     assert [r.json_obj() for r in run_all(jobs=10**6, ids=ids)] == serial
     assert sizes == [3, 2]
+
+
+_IMPORT_SET = """
+import os, sys
+import thetaq, thetaq.cli
+from thetaq import identities
+identities.registry()
+ids = ["S2.mumford.item2", "S2.squares.item3", "S5.UeqV.m1.half"]
+identities.run_all(ids=ids)
+thetaq.cli.branch_product((1, 1), (1, 1), 4)
+heavy = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
+print([m for m in heavy if m in sys.modules])
+os.cpu_count = lambda: 2  # two workers, even on a one-core machine
+identities.run_all(ids=ids, jobs=2)
+print("concurrent.futures" in sys.modules)
+"""
+
+
+@pytest.mark.slow
+def test_serial_work_imports_no_pool_and_no_dataclasses():
+    # the pool's modules load only when a pool runs; none of the package's
+    # records needs dataclasses (which pulls in inspect, ast and dis)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SET],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 def test_order_override():

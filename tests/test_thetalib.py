@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetaq._rational import rat
-from thetaq import cyclo
+from thetaq import cyclo, thetalib
 from thetaq.cyclo import PhaseError, phase
 from thetaq.series import Series
 from thetaq.thetalib import (
@@ -181,6 +181,18 @@ def test_theta_rejects_bad_degree_and_scale():
         theta(ThetaSpec(0, 1, qscale=0), 4)
 
 
+def test_theta_is_built_once_per_equal_arguments():
+    assert theta_jm(1, 2, 6) is theta_jm(rat(1), rat(2), rat(6))
+
+
+def test_theta_errors_leave_no_entry():
+    size = len(thetalib._cache)
+    with pytest.raises(ValueError):
+        theta(ThetaSpec(0, -1), 4)
+    assert ("theta", 0, -1, 1, 1, 0, 0, 4) not in thetalib._cache
+    assert len(thetalib._cache) == size
+
+
 def test_bracket_antisymmetry():
     br = bracket(1, 2, 6)
     flipped = bracket(-1, 2, 6)
@@ -262,3 +274,35 @@ def test_coset_sum_matches_fraction_reference(n0, aa, bb, zc, order, k_edge,
     assert got.terms == want.terms
     assert got.cutoff == want.cutoff and type(got.cutoff) is type(want.cutoff)
     assert got.den == want.den
+
+
+def _plain(x):
+    """``x`` as an int when integral: an equal key of another type."""
+    return int(x) if x.denominator == 1 else x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-6, 6), st.integers(1, 4), _rat_over(1, 6), _rat_over(-3, 3),
+       _rat_over(-2, 2), st.sampled_from([0, 1, rat(1, 2), rat(1, 4), rat(1, 8),
+                                          rat(3, 8), rat(1, 3)]),
+       _rat_over(0, 8))
+def test_memoized_theta_matches_a_fresh_build(j, m, qscale, zcoeff, tshift,
+                                              cshift, order):
+    spec = ThetaSpec(rat(j), rat(m), qscale, zcoeff, tshift, rat(cshift))
+    try:
+        fresh = thetalib._theta(spec, order)
+    except PhaseError:
+        with pytest.raises(PhaseError):
+            theta(spec, order)
+        return
+    plain = ThetaSpec(*map(_plain, spec._fields()))
+    for s, k in ((spec, order), (plain, _plain(order)), (spec, order)):
+        assert theta(s, k).json_obj() == fresh.json_obj()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rat_over(1, 4), st.integers(-4, 6), _rat_over(-1, 8))
+def test_memoized_eta_matches_a_fresh_build(c, e, order):
+    fresh = thetalib._eta(c, e, order).json_obj()
+    for args in ((c, e, order), (_plain(c), e, _plain(order)), (c, e, order)):
+        assert eta(*args).json_obj() == fresh
