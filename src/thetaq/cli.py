@@ -176,9 +176,8 @@ def _report_lines(reports, fmt, timings):
 
 def cmd_verify(args) -> int:
     order, fmt, jobs = _resolve(args)
-    overrides = {} if order is None else {"*": order}
     if args.all:
-        reports = run_all(order_overrides=overrides, jobs=jobs)
+        reports = run_all(order, jobs=jobs)
     else:
         if not args.id:
             raise UsageError("verify needs --id or --all")

@@ -28,7 +28,6 @@ from .linsolve import decompose, membership
 from .numerators import (
     SUPPORTED_CHARACTERS,
     DegenerateDivisorError,
-    _half_divisor_degenerate,
     branching_basis,
     character,
     derived_denominator,
@@ -117,31 +116,39 @@ def membership_check(target_builder, basis_builder):
     )
 
 
+def _first_failure(results):
+    """``(True, None)``, or the first ``(False, witness)`` of ``results``."""
+    return next((r for r in results if not r[0]), (True, None))
+
+
 def span_check(a_builder, b_builder):
     """Mutual membership of two generating families."""
 
     def attempt(k, order):
         fam_a, fam_b = a_builder(k), b_builder(k)
-        for xs, ys in ((fam_a, fam_b), (fam_b, fam_a)):
-            for x in xs:
-                ok, wit = membership(x, ys, order)
-                if not ok:
-                    return False, wit
-        return True, None
+        return _first_failure(
+            membership(x, ys, order)
+            for xs, ys in ((fam_a, fam_b), (fam_b, fam_a))
+            for x in xs
+        )
 
     return _retried(attempt)
 
 
 def _gen(fn, *args, **kwargs):
-    """The builder ``order -> fn(*args, order, **kwargs)``.
+    """The builder ``*rest -> fn(*args, *rest, **kwargs)``; ``rest`` is
+    ``(order,)`` except in ``_law``, which passes the index and level too.
 
     Like ``functools.partial``, but ``fn`` is looked up by name in this
     module each time the builder runs, not once when the registry is built,
     so a later rebinding of that name (``perfbench/tracer.py`` wraps the
-    generators this way) reaches every call.
+    generators this way) reaches every call.  ``fn`` must be what this
+    module binds to its name when the builder is made.
     """
     name = fn.__name__
-    return lambda o: globals()[name](*args, o, **kwargs)
+    if globals().get(name) is not fn:
+        raise ValueError(f"{name!r} is not the generator identities binds")
+    return lambda *rest: globals()[name](*args, *rest, **kwargs)
 
 
 def _e(c, p):
@@ -165,12 +172,13 @@ def _law(gen, level, index, const, count):
     gen(i0 + i1 r, level)`` for ``index = (i0, i1)`` and ``const = (c0, c1,
     cl)``: the right side of every theta multiplication law here."""
     (i0, i1), (c0, c1, cl) = index, const
+    g = _gen(gen)
 
     def b(order):
         out = Series.zero(rat(order))
         for r in range(count):
             c = theta_zero_arg(c0 + c1 * r, cl, order)
-            out = out + c * _gen(gen, i0 + i1 * r, level)(order)
+            out = out + c * g(i0 + i1 * r, level, order)
         return out
 
     return b
@@ -602,29 +610,20 @@ def _build_s3(reg):
 def _pindep_case(m: int, sector: str):
     def run(order):
         build = numerator_half if sector == "half" else numerator_int
-        series = {}
-        for p in (0, 1, 2):
-            if sector == "half" and _half_divisor_degenerate(m, p):
-                # divisor vanishes identically: the construction must refuse,
-                # and the undivided combination must vanish identically
-                try:
-                    build(m, p, order)
-                except DegenerateDivisorError:
-                    pass
-                else:
-                    return False, (R0, R0)
+        base = build(m, 0, order)
+
+        def agrees(p):
+            try:
+                f = build(m, p, order)
+            except DegenerateDivisorError:  # then the undivided sum must vanish
                 comb = undivided_half_combination(m, p, order).restrict(order)
-                if not comb.is_zero_series():
-                    q, z, _ = comb.monomials()[0]
-                    return False, (q, z)
-                continue
-            series[p] = build(m, p, order)
-        base = series[0]
-        for p, f in series.items():
-            ok, mm = base.equal_up_to(f, order)
-            if not ok:
-                return False, mm
-        return True, None
+                if comb.is_zero_series():
+                    return True, None
+                q, z, _ = comb.monomials()[0]
+                return False, (q, z)
+            return base.equal_up_to(f, order)
+
+        return _first_failure(agrees(p) for p in (1, 2))
 
     return run
 
@@ -637,7 +636,7 @@ def _build_s4(reg):
     for m in (1, 3, 5):
         _add(reg, f"S4.pindep.m{m}.int", "p-independence", 4,
              f"integer-sector numerator shift-independence, level {m}",
-             _pindep_case(m, "int"))
+             _pindep_case(m, "integer"))
 
 
 def _ub(m, sector):
@@ -660,11 +659,9 @@ def _generator_multiples_check(factor, m, sector, m2, sector2):
 
     def attempt(k, order):
         f, span = factor(k), u_basis(m2, sector2, k)
-        for g in u_basis(m, sector, k):
-            ok, wit = membership(f * g, span, order)
-            if not ok:
-                return False, wit
-        return True, None
+        return _first_failure(
+            membership(f * g, span, order) for g in u_basis(m, sector, k)
+        )
 
     return _retried(attempt)
 
@@ -952,18 +949,11 @@ def _worker(args):
     return run_identity(*args)
 
 
-def run_all(order_overrides=None, jobs: int = 1, ids=None) -> list[Report]:
-    """Run every case (or the given ids), reports merged in id order."""
-    reg = registry()
+def run_all(order=None, jobs: int = 1, ids=None) -> list[Report]:
+    """Run every case (or the given ids) at ``order`` or its default."""
     if ids is None:
-        ids = list(reg)
-    overrides = order_overrides or {}
-
-    def order_for(i):
-        o = overrides.get(i, overrides.get("*"))
-        return None if o is None else rat(o)
-
-    tasks = [(i, order_for(i)) for i in ids]
+        ids = list(registry())
+    tasks = [(i, order) for i in ids]
     # the pool forks all its workers up front: no more than tasks or cores
     workers = min(jobs, len(ids), os.cpu_count() or 1)
     if workers <= 1:

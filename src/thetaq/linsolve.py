@@ -187,7 +187,7 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
     # holds only columns >= its pivot column, so reducing by the pivots in
     # ascending column order visits each column once.  A row of closed
     # pivots is skipped untouched (see the module doc).
-    pivots: dict = {}  # col -> (creation_index, rowdict, rhsval)
+    pivots: dict = {}  # col -> (rowdict, rhsval), in creation order
     closed: set = set()
     waiting: dict = {}  # open col -> pivots whose rows hold it
     still_open: dict = {}  # pivot -> its row's columns not yet closed
@@ -203,7 +203,7 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
             factor = row.pop(c, None)
             if factor is None:  # cancelled since, or queued twice
                 continue
-            _, prow, prv = pivots[c]
+            prow, prv = pivots[c]
             for cc, coeff in prow.items():
                 if cc == c:
                     continue
@@ -228,7 +228,7 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
         row = {c: inv * v for c, v in row.items()}
         if rv is not None:
             rv = inv * rv
-        pivots[pc] = (len(pivots), row, rv)
+        pivots[pc] = (row, rv)
         # the reduced row holds no pivot but pc, so its other columns are open
         still_open[pc] = len(row) - 1
         for c in row:
@@ -245,9 +245,7 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
 
     # back-substitution in reverse creation order; free columns get zero
     values: dict = {}
-    for c, (_, row, rv) in sorted(
-        pivots.items(), key=lambda kv: -kv[1][0]
-    ):
+    for c, (row, rv) in reversed(pivots.items()):
         acc = rv
         for cc, coeff in row.items():
             if cc == c:

@@ -21,11 +21,10 @@ each root-of-unity coefficient as an index into the eighth turns, and hands
 the int-keyed terms to the series directly.  A theta coset n0 + Z is walked
 through the integers N = d0*n, with the exact index range from an integer
 quadratic inequality (:func:`_below`).  The eta product is not multiplied
-out: prod (1 - x^n) is Euler's pentagonal series sum (-1)^k x^{k(3k-1)/2}
+out: prod (1 - q^{cn}) is Euler's pentagonal series sum (-1)^k q^{ck(3k-1)/2}
 (L. Euler, "Demonstratio theorematis circa ordinem in summis divisorum
-observatum", Novi Comm. Acad. Sci. Petrop. 5, 1760), and its cube is
-Jacobi's series sum (-1)^n (2n+1) x^{n(n+1)/2} (C. G. J. Jacobi, Fundamenta
-nova theoriae functionum ellipticarum, 1829, section 66).
+observatum", Novi Comm. Acad. Sci. Petrop. 5, 1760), built by the same coset
+walk as a theta, with n0 = 0 and (-1)^k = w^(4k).
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import math
 
 from . import cyclo
 from ._rational import R0, R1, rat
-from .cyclo import CycloNum, PhaseError
+from .cyclo import PhaseError
 from .series import Series, _grid_bound, _reduced, _series
 
 
@@ -196,64 +195,32 @@ def theta_pm(sign: int, j, m, order) -> Series:
     return _coset_sum(j / (2 * m), m, R0, R0, order, 0, 4 if sign < 0 else 0)
 
 
-def _euler_power(c, cube, bound) -> Series:
-    """prod_{n>=1} (1 - q^{cn}) below ``bound``, or its cube if ``cube``.
+def eta(c, e, order) -> Series:
+    """eta(c * tau)^e below ``order`` for an integer ``e``, built once per
+    process for each set of arguments as given (see :func:`theta`).
 
-    Euler's pentagonal theorem gives the product as
-    sum_k (-1)^k x^{k(3k-1)/2} over all integers k, and Jacobi's identity
-    its cube as sum_{n>=0} (-1)^n (2n+1) x^{n(n+1)/2}, with x = q^c.  Every
-    exponent is c.numerator times an integer, over c.denominator.
+    prod (1 - q^{cn}) is Euler's series, a coset sum; other powers are
+    products of it, negative powers its recurrence inverse.
     """
-    den, cn = c.denominator, c.numerator
-    hi = _grid_bound(bound, den)
-    terms: dict = {}
-    if cube:
-        n = 0
-        while (q := cn * (n * (n + 1) // 2)) < hi:
-            v = 2 * n + 1
-            terms[(q, 0)] = CycloNum._raw(-v if n % 2 else v, 0, 0, 0)
-            n += 1
-    else:
-        terms[(0, 0)] = cyclo.ONE
-        n = 1
-        # k = n and k = -n, the exponent of k = n the smaller
-        while cn * (n * (3 * n - 1) // 2) < hi:
-            sign = cyclo.minus_one_pow(n)
-            for p in (n * (3 * n - 1) // 2, n * (3 * n + 1) // 2):
-                if cn * p < hi:
-                    terms[(cn * p, 0)] = sign
-            n += 1
-    return _series(*_reduced(terms, den), bound)
-
-
-def eta(c, e: int, order) -> Series:
-    """eta(c * tau)^e below ``order``, built once per process for each set
-    of arguments as given (see :func:`theta`).
-
-    The product prod (1 - q^{cn}) and its cube come from their series
-    (:func:`_euler_power`); other powers are products of those, negative
-    powers their recurrence inverse.
-    """
-    return _cached(("eta", c, e, order), lambda: _eta(rat(c), int(e), rat(order)))
+    return _cached(("eta", c, e, order), lambda: _eta(rat(c), e, rat(order)))
 
 
 def _eta(c, e, order) -> Series:
     if c <= 0:
         raise ValueError("eta scale must be positive")
+    if e != int(e):
+        raise ValueError(f"eta power must be an integer, got {e!r}")
+    e = int(e)
+    if e == 0:
+        return Series.one(order)
     shift = c * e * rat(1, 24)
     bound = order - shift
     if bound <= 0:
         return Series.zero(order)
-    cubes, ones = divmod(abs(e), 3)
-    pw = None
-    for cube, count in ((True, cubes), (False, ones)):
-        if count:
-            f = _euler_power(c, cube, bound)
-            for _ in range(count):
-                pw = f if pw is None else pw._mul_trunc(f, bound)
-    if pw is None:
-        pw = Series.one(bound)
-    elif e < 0:
+    f = pw = _coset_sum(R0, 3 * c / 2, -c / 2, R0, bound, 0, 4)
+    for _ in range(abs(e) - 1):
+        pw = pw._mul_trunc(f, bound)
+    if e < 0:
         pw = pw.inverse(order=bound)
     return pw.times_monomial(cyclo.ONE, shift, R0)
 

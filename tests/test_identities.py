@@ -191,6 +191,13 @@ def test_run_all_subset_and_summary():
     assert counts["total"] == 4
 
 
+def test_run_all_runs_every_case_at_the_given_order():
+    ids = ["S2.mumford.item2", "S5.ladder.degenerate.m1"]
+    reports = run_all(rat(3), ids=ids)
+    assert [(r.status, r.certified_order) for r in reports] == [
+        ("pass", 3), ("pass", 3)]
+
+
 def test_run_all_parallel_matches_serial():
     ids = [
         "S2.mumford.item2",
@@ -361,3 +368,20 @@ def test_closure_check_builds_its_bases_once(monkeypatch):
     monkeypatch.setattr(identities, "u_basis", recording)
     assert run_identity("S5.closure.item1.m2", rat(4)).status == "pass"
     assert orders == [rat(9, 2), rat(9, 2)]
+
+
+def test_gen_rejects_a_function_not_bound_by_its_name():
+    with pytest.raises(ValueError):
+        identities._gen(lambda o: o)
+
+
+def test_pindep_fails_on_a_nonvanishing_undivided_combination(monkeypatch):
+    # (m, p) = (2, 2) is degenerate: the half-sector divisor vanishes, and
+    # the case then checks that the undivided combination vanishes instead
+    nonzero = Series({(rat(5, 2), rat(1)): cyclo.ONE,
+                      (rat(3, 2), rat(-1, 2)): cyclo.I}, rat(10))
+    monkeypatch.setattr(identities, "undivided_half_combination",
+                        lambda m, p, order: nonzero)
+    r = run_identity("S4.pindep.m2.half")
+    assert r.status == "fail"
+    assert r.first_mismatch == (rat(3, 2), rat(-1, 2))

@@ -135,7 +135,7 @@ def test_theta_jacobi_triple_product_oracle(j, m):
 
 
 @pytest.mark.parametrize("c", [rat(1, 2), 1, 2, rat(2, 5)])
-@pytest.mark.parametrize("e", [1, -1, 2, -2, 3, -3])
+@pytest.mark.parametrize("e", [1, -1, 2, -2, 3, -3, 0, 4, 5, -4])
 def test_eta_matches_product_form(c, e):
     got, want = eta(c, e, 24), eta_product(c, e, 24)
     assert got.cutoff == want.cutoff == 24
@@ -150,6 +150,15 @@ def test_eta_inverse_cancels():
 def test_eta_rejects_bad_scale():
     with pytest.raises(ValueError):
         eta(0, 1, 4)
+
+
+def test_eta_rejects_a_non_integral_power():
+    size = len(thetalib._cache)
+    for e in (2.5, rat(5, 2)):
+        with pytest.raises(ValueError):
+            eta(1, e, 4)
+    assert len(thetalib._cache) == size
+    assert eta(1, 2.0, 4) is eta(1, 2, 4)
 
 
 def test_mumford_constant_expansions():
