@@ -491,7 +491,8 @@ def _build_s2(reg):
                      f"branch {tag}",
                      equality_check(
                          _gen(_shifted_ratio, m, *num, den_tsh),
-                         _gen(_index_ratio, m, idx, den_idx, qpow, zpow),
+                         _shifted(_gen(_index_ratio, m, idx, den_idx), qpow,
+                                  zpow),
                      ))
 
 
@@ -500,9 +501,8 @@ def _shifted_ratio(m, zcoeff, tshift, den_tshift, order):
     return num * mumford("10", order, qscale=2, tshift=den_tshift).inverse()
 
 
-def _index_ratio(m, idx, den_idx, qpow, zpow, order):
-    t = theta_jm(idx, m + 1, order) * theta_jm(den_idx, 1, order).inverse()
-    return t.times_monomial(cyclo.ONE, qpow, zpow)
+def _index_ratio(m, idx, den_idx, order):
+    return theta_jm(idx, m + 1, order) * theta_jm(den_idx, 1, order).inverse()
 
 
 def _build_s3(reg):

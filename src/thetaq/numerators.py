@@ -4,10 +4,17 @@ explicit level 1/2/4 characters, and the derived denominator.
 The numerator family F[m, s] is *defined* here by its closed expansion at
 the character slice (quotient bracket + twisted-constant divisor + triple
 sums + boundary sums), never by the companion-series definition it came
-from; the p-independence, ladder and z-freeness checks in the identity
-registry over-determine the construction and would expose a transcription
-slip.  Sector rule: half-integer s for every level m, integer s only for
+from.  Sector rule: half-integer s for every level m, integer s only for
 odd m (no base formula exists otherwise).
+
+The identity registry sees a slip in a sector base: the p-independence
+checks compare bases built through different boundary sums, triple-sum
+ranges and divisors, and the span and membership checks place them in the
+theta-quotient spaces.  It is blind to a sign slip in :func:`ladder_step`
+(its q-shift or phase) or in the downward ladder: :func:`numerator` builds
+F[m, s+1] from ``ladder_step``, so the ladder checks are circular, and the
+other uses of F[m, s >= 3/2] are spans and memberships, which cannot see a
+z-free factor on a generator.
 
 All builders guarantee ``result.cutoff >= order`` in one build and are
 memoized per process in the one build table of :mod:`thetaq.thetalib`,
@@ -23,19 +30,21 @@ from __future__ import annotations
 from math import lcm
 
 from . import cyclo
-from ._rational import R0, R1, rat
+from ._rational import R0, rat
 from .cyclo import phase
 from .series import (
     InsufficientOrderError,
     Series,
+    _add_turn,
+    _gather,
     _grid_bound,
     _reduced,
     _series,
 )
 from .thetalib import (
     _cache,  # noqa: F401  (the table's name here, for tests and tracing)
+    _below,
     _cached,
-    _coset_range,
     bracket,
     eta,
     mumford,
@@ -103,14 +112,15 @@ def _triple_sum_weights(m: int, alpha, bound):
     (the r-sum over 1..j, subtracted r-sum over 0..j-1 with t = 2mr + k and
     the two unit phases swapped).  Every exponent is an integer over
     ``den = lcm(4m, alpha.denominator)``, and the coefficient
-    -+e^{i pi u/2} is the eighth turn w^(2u) or w^(2u+4).
+    -+e^{i pi u/2} is the eighth turn w^(2u) or w^(2u+4), summed by the
+    series layer's ``_add_turn``.
 
     Truncation: for alpha >= -1/2 (both sectors; a smaller alpha raises
-    ValueError) every term with index j
-    obeys exponent >= j^2 - 2m*max(alpha,0)*j  (because t <= 2mj and
-    t^2/(4m) <= tj/2), so j stops at the last integer with that quadratic
-    below ``bound``, found exactly by :func:`_coset_range`; the bound is
-    asserted per term, in integers.
+    ValueError) every term with index j obeys exponent >= j^2 - g*j,
+    g = 2m*max(alpha,0)  (because t <= 2mj and t^2/(4m) <= tj/2).  Over
+    ``den`` that reads den*(j^2 - g*j) < hi = ceil(bound*den), so
+    :func:`thetaq.thetalib._below` gives the j-range in the same ints as
+    the bound asserted per term.
     """
     alpha = rat(alpha)
     bound = rat(bound)
@@ -119,32 +129,21 @@ def _triple_sum_weights(m: int, alpha, bound):
     ks = list(range(1, m, 2))
     if not ks:
         return {}
-    g = 2 * m * max(alpha, R0)
-    js = _coset_range(R0, R1, -g, bound)
-    jmax = js[-1] if js else 0
     den = lcm(4 * m, alpha.denominator)
     al = alpha.numerator * (den // alpha.denominator)
     gd = 2 * m * max(al, 0)  # g over den
     tden = den // (4 * m)  # t^2/(4m) over den
     hi = _grid_bound(bound, den)
-    turns = cyclo._EIGHTH_TURNS
-    acc = {k: {} for k in ks}
+    js = _below(den, -gd, -hi)
+    acc = {k: ({}, {}, {}, {}) for k in ks}
 
     def put(k, ex, u):
         # w^u at q^(ex/den), added only below the bound
         assert ex >= (jj * jj) * den - gd * jj
-        if ex >= hi:
-            return
-        coeff = turns[u % 8]
-        slot = acc[k]
-        cur = slot.get(ex)
-        s = coeff if cur is None else cur + coeff
-        if s.is_zero():
-            slot.pop(ex, None)
-        else:
-            slot[ex] = s
+        if ex < hi:
+            _add_turn(acc[k], (ex, 0), u)
 
-    for jj in range(1, jmax + 1):
+    for jj in range(max(js.start, 1), js.stop):
         jd = jj * den
         sj = 4 * (jj % 2)  # (-1)^j = w^(4j)
         for k in ks:
@@ -160,8 +159,7 @@ def _triple_sum_weights(m: int, alpha, bound):
                 put(k, base + (jd + al) * t, sj + 4 + 2 * (2 * m * r - k))
                 put(k, base + (jd - al) * t, sj + 4 + 2 * (2 * m * r + k))
     return {
-        k: _series(*_reduced({(ex, 0): c for ex, c in slot.items()}, den), bound)
-        for k, slot in acc.items()
+        k: _series(*_reduced(_gather(a), den), bound) for k, a in acc.items()
     }
 
 
@@ -443,11 +441,7 @@ def _character_raw(m, m2, order):
     return s.times_monomial(cyclo.I.scale(rat(1, 2)))
 
 
-class DenominatorInconsistency(AssertionError):
-    """Raised by the strict z-freeness check on the derived denominator."""
-
-
-def derived_denominator(order, require_zfree: bool = False) -> Series:
+def derived_denominator(order) -> Series:
     """R0 := -eta * F[1,1/2] / theta_{0,1}.
 
     Equals the true N=3 denominator up to a z-free unit, which is all the
@@ -455,9 +449,7 @@ def derived_denominator(order, require_zfree: bool = False) -> Series:
     elliptic variable: its monomials all carry half-integer zeta-exponents
     (the quotient-bracket generators live on the zeta^{1/2+Z} coset while
     theta_{0,1} lives on zeta^Z, so the ratio cannot land on zeta^0; the
-    algebra's odd half-roots are visible here).  ``require_zfree=True``
-    turns that structural fact into a hard error for callers that insist
-    on a z-free denominator.
+    algebra's odd half-roots are visible here).
     """
     order = rat(order)
     k = order + rat(1, 8)
@@ -467,13 +459,7 @@ def derived_denominator(order, require_zfree: bool = False) -> Series:
         s = eta(1, 1, order) * numerator_half(1, 0, k) * th_inv
         return s.times_monomial(cyclo.MINUS_ONE)
 
-    r = _cached(("rden", order), build)
-    if require_zfree and not r.is_zfree():
-        raise DenominatorInconsistency(
-            "eta * F[1,1/2] / theta_{0,1} carries half-integer powers of "
-            "the elliptic variable; no z-free derived denominator exists"
-        )
-    return r
+    return _cached(("rden", order), build)
 
 
 def denominator_z_coset(order):

@@ -24,8 +24,9 @@ Cutoffs propagate pessimistically:
 Products are truncated convolutions.  Inverses use the reciprocal
 recurrence over q-layers in one pass (Brent & Kung, "Fast algorithms for
 manipulating formal power series", J. ACM 25, 1978), not a sum of powers.
-Both accumulate each Q(zeta_8) component separately, as plain ints (or
-Fractions), and build one coefficient per output term.
+These and the generators sum each Q(zeta_8) component as plain ints (or
+Fractions) in four accumulators, and :func:`_gather` builds one
+coefficient per output term.
 
 ``ord`` here means the smallest stored q-exponent, or the cutoff itself for
 a series with no stored terms (all that is known of such a series is that
@@ -38,7 +39,6 @@ series compare and hash equal whatever their ``den``.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Mapping
 from math import gcd, lcm
 
@@ -103,6 +103,13 @@ def _components(items):
             if c:
                 part.append((q, z, c))
     return parts
+
+
+def _add_turn(acc, key, u):
+    """Add w^u at ``key`` into the four accumulators ``acc`` that
+    :func:`_gather` reads: component u & 3, negated when u & 4 (w^4 = -1)."""
+    t = acc[u & 3]
+    t[key] = t.get(key, 0) + (-1 if u & 4 else 1)
 
 
 def _gather(acc):
@@ -381,11 +388,8 @@ class Series:
                 )
         steps = sorted(layers.items())
         y: dict = {}  # e -> four {z: component i} dicts
-        # only sums of x's exponents can carry a term; visit them in order
-        heap = [0] if bound > 0 else []
-        seen = set(heap)
-        while heap:
-            e = heapq.heappop(heap)
+        # only sums of x's exponents, multiples of their gcd, carry a term
+        for e in range(0, bound, gcd(*layers) or max(bound, 1)):
             acc = ({}, {}, {}, {}) if e else ({0: 1}, {}, {}, {})
             for k, xk in steps:
                 if k > e:
@@ -401,16 +405,8 @@ class Series:
                             zz = zx + zy
                             t[zz] = t.get(zz, 0) + x * cy
             ye = tuple({z: c for z, c in t.items() if c} for t in acc)
-            if not any(ye):
-                continue
-            y[e] = ye
-            for k, _ in steps:
-                nxt = e + k
-                if nxt >= bound:
-                    break
-                if nxt not in seen:
-                    seen.add(nxt)
-                    heapq.heappush(heap, nxt)
+            if any(ye):
+                y[e] = ye
         out = {
             (e - qa, z - za): inv_lead * c
             for e, ye in y.items()

@@ -17,14 +17,15 @@ identity registry, which fail under the alternative normalizations):
 
 Every generator works on the integer grid of :mod:`thetaq.series`: it fixes
 one denominator per call, computes each exponent as an integer over it and
-each root-of-unity coefficient as an index into the eighth turns, and hands
-the int-keyed terms to the series directly.  A theta coset n0 + Z is walked
-through the integers N = d0*n, with the exact index range from an integer
-quadratic inequality (:func:`_below`).  The eta product is not multiplied
-out: prod (1 - q^{cn}) is Euler's pentagonal series sum (-1)^k q^{ck(3k-1)/2}
-(L. Euler, "Demonstratio theorematis circa ordinem in summis divisorum
-observatum", Novi Comm. Acad. Sci. Petrop. 5, 1760), built by the same coset
-walk as a theta, with n0 = 0 and (-1)^k = w^(4k).
+each root-of-unity coefficient as an eighth turn w^u, and sums the turns in
+the series layer's component accumulators (``_add_turn``, ``_gather``).  A
+theta coset n0 + Z is walked through the integers N = d0*n, with the exact
+index range from an integer quadratic inequality (:func:`_below`).  The eta
+product is not multiplied out: prod (1 - q^{cn}) is Euler's pentagonal
+series sum (-1)^k q^{ck(3k-1)/2} (L. Euler, "Demonstratio theorematis circa
+ordinem in summis divisorum observatum", Novi Comm. Acad. Sci. Petrop. 5,
+1760), built by the same coset walk as a theta, with n0 = 0 and
+(-1)^k = w^(4k).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from . import cyclo
 from ._rational import R0, R1, rat
 from .cyclo import PhaseError
-from .series import Series, _grid_bound, _reduced, _series
+from .series import Series, _add_turn, _gather, _grid_bound, _reduced, _series
 
 
 _cache: dict = {}
@@ -63,19 +64,6 @@ class ThetaSpec:
     def _fields(self):
         return (self.j, self.m, self.qscale, self.zcoeff, self.tshift, self.cshift)
 
-    def __eq__(self, other):
-        if other.__class__ is not ThetaSpec:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        names = ("j", "m", "qscale", "zcoeff", "tshift", "cshift")
-        args = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields()))
-        return f"ThetaSpec({args})"
-
     def normalized(self) -> "ThetaSpec":
         return ThetaSpec(*map(rat, self._fields()))
 
@@ -98,19 +86,6 @@ def _below(a, b, c):
     return range(-((u + b) // (2 * a)), (u - b) // (2 * a) + 1)
 
 
-def _coset_range(n0, aa, bb, order):
-    """Exactly the integer offsets k with aa*(n0+k)^2 + bb*(n0+k) < order,
-    for rationals with aa > 0.
-
-    Scaled by the common denominator the condition reads a*k^2 + b*k + c < 0
-    with integers a > 0, b, c, which :func:`_below` solves.
-    """
-    qb = 2 * aa * n0 + bb
-    qc = (aa * n0 + bb) * n0 - order
-    scale = math.lcm(aa.denominator, qb.denominator, qc.denominator)
-    return _below(*(int(x * scale) for x in (aa, qb, qc)))
-
-
 def _coset_sum(n0, aa, bb, zc, order, u0=0, u1=0) -> Series:
     """Sum over n = n0 + k of w^(u0 + u1*k) q^{aa n^2 + bb n} zeta^{zc n}
     below ``order``, w = e^{2 pi i/8}.
@@ -127,23 +102,11 @@ def _coset_sum(n0, aa, bb, zc, order, u0=0, u1=0) -> Series:
     B = bb.numerator * (den // bd)
     Z = zc.numerator * (den // zd)
     hi = _grid_bound(order, den)
-    turns = cyclo._EIGHTH_TURNS
-    terms: dict = {}
-    ks = _below(A * d0 * d0, (2 * A * p0 + B) * d0, (A * p0 + B) * p0 - hi)
-    for k in ks:
+    acc = ({}, {}, {}, {})
+    for k in _below(A * d0 * d0, (2 * A * p0 + B) * d0, (A * p0 + B) * p0 - hi):
         N = p0 + k * d0
-        q = (A * N + B) * N
-        if q >= hi:
-            continue
-        key = (q, Z * N)
-        coeff = turns[(u0 + u1 * k) % 8]
-        cur = terms.get(key)
-        s = coeff if cur is None else cur + coeff
-        if s.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = s
-    return _series(*_reduced(terms, den), order)
+        _add_turn(acc, ((A * N + B) * N, Z * N), u0 + u1 * k)
+    return _series(*_reduced(_gather(acc), den), order)
 
 
 def theta(spec: ThetaSpec, order) -> Series:
@@ -161,17 +124,14 @@ def _theta(spec, order) -> Series:
         raise ValueError("theta degree must be positive")
     if c1 <= 0:
         raise ValueError("theta q-scale must be positive")
-    u0 = u1 = 0
-    if c:
-        # the phase of n = j/(2m) + k is e^{2 pi i m n c} = w^(4cj + 8mck)
-        u0, u1 = 4 * c * j, 8 * c * m
-        if u0.denominator != 1 or u1.denominator != 1:
-            raise PhaseError(
-                f"phase outside Q(zeta_8): theta index {j}, degree {m}, "
-                f"constant shift {c}"
-            )
-        u0, u1 = int(u0), int(u1)
-    return _coset_sum(j / (2 * m), c1 * m, b * m, a * m, order, u0, u1)
+    # the phase of n = j/(2m) + k is e^{2 pi i m n c} = w^(4cj + 8mck)
+    u0, u1 = 4 * c * j, 8 * c * m
+    if u0.denominator != 1 or u1.denominator != 1:
+        raise PhaseError(
+            f"phase outside Q(zeta_8): theta index {j}, degree {m}, "
+            f"constant shift {c}"
+        )
+    return _coset_sum(j / (2 * m), c1 * m, b * m, a * m, order, int(u0), int(u1))
 
 
 def theta_jm(j, m, order) -> Series:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from thetaq._rational import rat
 from thetaq.cyclo import CycloNum
 from thetaq.linsolve import membership
 from thetaq.series import Series
+from thetaq.thetalib import _below
 
 
 @pytest.fixture
@@ -59,6 +61,20 @@ def scale_args(s, cq, cz):
         k = (cq * q, cz * z)
         terms[k] = terms[k] + c if k in terms else c
     return Series(terms, cq * s.cutoff)
+
+
+def coset_range(n0, aa, bb, order):
+    """Exactly the integer offsets k with aa*(n0+k)^2 + bb*(n0+k) < order,
+    for rationals with aa > 0: the Fraction range function that the
+    generators' integer ranges replaced, kept as a reference.
+
+    Scaled by the common denominator the condition reads a*k^2 + b*k + c < 0
+    with integers a > 0, b, c, which ``thetalib._below`` solves.
+    """
+    qb = 2 * aa * n0 + bb
+    qc = (aa * n0 + bb) * n0 - order
+    scale = math.lcm(aa.denominator, qb.denominator, qc.denominator)
+    return _below(*(int(x * scale) for x in (aa, qb, qc)))
 
 
 def eta_product(c, e, order):

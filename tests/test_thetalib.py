@@ -10,7 +10,6 @@ from thetaq.cyclo import PhaseError, phase
 from thetaq.series import Series
 from thetaq.thetalib import (
     ThetaSpec,
-    _coset_range,
     _coset_sum,
     bracket,
     eta,
@@ -21,7 +20,7 @@ from thetaq.thetalib import (
     theta_zero_arg,
 )
 
-from conftest import assert_equal_series, eta_product
+from conftest import assert_equal_series, coset_range, eta_product
 
 
 def test_theta_01_defining_sum():
@@ -235,7 +234,7 @@ def test_coset_range_matches_brute_force(n0, aa, bb, order, k_edge):
     v = -bb / (2 * aa) - n0
     scan = range(math.floor(v) - w - 1, math.ceil(v) + w + 2)
     expect = [k for k in scan if aa * (n0 + k) ** 2 + bb * (n0 + k) < order]
-    assert list(_coset_range(n0, aa, bb, order)) == expect
+    assert list(coset_range(n0, aa, bb, order)) == expect
 
 
 def reference_coset_sum(n0, aa, bb, order, term):
@@ -243,7 +242,7 @@ def reference_coset_sum(n0, aa, bb, order, term):
     q^{aa n^2 + bb n} zeta^zexp over n = n0 + k below ``order``, where
     ``term(k, n)`` gives (zexp, coeff)."""
     terms: dict = {}
-    for k in _coset_range(n0, aa, bb, order):
+    for k in coset_range(n0, aa, bb, order):
         n = n0 + k
         qexp = n * (aa * n + bb)
         if qexp >= order:
@@ -278,7 +277,7 @@ def test_coset_sum_matches_fraction_reference(n0, aa, bb, zc, order, k_edge,
     got = _coset_sum(n0, aa, bb, zc, order, u0, u1)
     want = reference_coset_sum(
         n0, aa, bb, order,
-        lambda k, n: (zc * n, cyclo._EIGHTH_TURNS[(u0 + u1 * k) % 8]),
+        lambda k, n: (zc * n, phase(rat(u0 + u1 * k, 8))),
     )
     assert got.terms == want.terms
     assert got.cutoff == want.cutoff and type(got.cutoff) is type(want.cutoff)
