@@ -22,7 +22,7 @@ import os
 import time
 
 from . import cyclo
-from ._rational import R0, rat, rat_str
+from ._rational import R0, R1, rat, rat_str
 from .cyclo import phase
 from .linsolve import decompose, membership
 from .numerators import (
@@ -502,7 +502,11 @@ def _shifted_ratio(m, zcoeff, tshift, den_tshift, order):
 
 
 def _index_ratio(m, idx, den_idx, order):
-    return theta_jm(idx, m + 1, order) * theta_jm(den_idx, 1, order).inverse()
+    # ``_shifted`` may pass an order at or below the divisor's q^(1/16) lead;
+    # build the divisor to 1 so it keeps that term, and cut its inverse at
+    # ``order``
+    den = theta_jm(den_idx, 1, max(order, R1)).inverse(order=order)
+    return theta_jm(idx, m + 1, order) * den
 
 
 def _build_s3(reg):

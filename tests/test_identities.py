@@ -194,6 +194,17 @@ def test_run_all_runs_every_case_at_the_given_order():
         ("pass", 3), ("pass", 3)]
 
 
+@pytest.mark.parametrize("order", ["1/2", "1", "3"])
+def test_shift626d_passes_below_its_shift(order):
+    # the q^ shifts reach 243/64, so these orders build the right side's
+    # theta ratio at or below its divisor's q^(1/16) lead
+    ids = [i for i in registry() if i.startswith("S2.shift626d.")]
+    reports = run_all(rat(order), ids=ids)
+    assert len(reports) == 48
+    assert {(r.status, r.certified_order) for r in reports} == {
+        ("pass", rat(order))}
+
+
 def test_run_all_parallel_matches_serial():
     ids = [
         "S2.mumford.item2",

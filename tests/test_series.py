@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from thetaq._rational import INF, rat
 from thetaq import cyclo
-from thetaq.cyclo import CycloNum, phase
-from thetaq.series import (InsufficientOrderError, NonUnitLeadingError, Series,
-                           _add_turn, _gather)
+from thetaq.cyclo import CycloNum
+from thetaq.series import InsufficientOrderError, NonUnitLeadingError, Series
 from thetaq.thetalib import eta, mumford, theta_jm
 
 from conftest import (assert_canonical, assert_equal_series, random_series,
@@ -185,23 +184,6 @@ def test_inverse_matches_geometric_reference(case):
     assert inv.cutoff == cutoff
     prod = s * inv
     assert_equal_series(prod, Series.one(), prod.cutoff)
-
-
-def test_add_turn_sums_eighth_turns():
-    # each w^u lands as phase(u/8), negative u too; w^u + w^(u+4) cancels
-    # and the key is dropped
-    acc = ({}, {}, {}, {})
-    for u in range(-12, 20):
-        _add_turn(acc, (u, 0), u)
-        _add_turn(acc, (u, 1), u)
-        _add_turn(acc, (u, 1), u + 4)
-        _add_turn(acc, (u, 2), u)
-        _add_turn(acc, (u, 2), u + 8)
-    got = _gather(acc)
-    assert got == {
-        **{(u, 0): phase(rat(u, 8)) for u in range(-12, 20)},
-        **{(u, 2): phase(rat(u, 8)).scale(2) for u in range(-12, 20)},
-    }
 
 
 def test_scaled_eta_leading_exponent():
