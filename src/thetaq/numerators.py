@@ -3,18 +3,18 @@ explicit level 1/2/4 characters, and the derived denominator.
 
 The numerator family F[m, s] is *defined* here by its closed expansion at
 the character slice (quotient bracket + twisted-constant divisor + triple
-sums + boundary sums), never by the companion-series definition it came
-from.  Sector rule: half-integer s for every level m, integer s only for
-odd m (no base formula exists otherwise).
+sums) and the ladder F[m, s] - F[m, s+1] = :func:`ladder_step`, never by
+the companion-series definition it came from.  Sector rule: half-integer s
+for every level m, integer s only for odd m (no base formula exists
+otherwise).
 
-The identity registry sees a slip in a sector base: the p-independence
-checks compare bases built through different boundary sums, triple-sum
-ranges and divisors, and the span and membership checks place them in the
-theta-quotient spaces.  It is blind to a sign slip in :func:`ladder_step`
-(its q-shift or phase) or in the downward ladder: :func:`numerator` builds
-F[m, s+1] from ``ladder_step``, so the ladder checks are circular, and the
-other uses of F[m, s >= 3/2] are spans and memberships, which cannot see a
-z-free factor on a generator.
+The identity registry sees a slip in a sector base or in the ladder: the
+p-independence checks compare the closed expansions at offsets 0, 1 and 2,
+each walked to the sector base by ``ladder_step`` through different
+triple-sum ranges and divisors, so they see ladder slips at m >= 2
+(level-1 steps vanish); the span and membership checks place the bases in
+the theta-quotient spaces.  The ladder checks ``S5.ladder.*`` stay
+circular: :func:`numerator` builds F[m, s+1] from ``ladder_step`` too.
 
 All builders guarantee ``result.cutoff >= order`` in one build and are
 memoized per process in the one build table of :mod:`thetaq.thetalib`,
@@ -221,25 +221,6 @@ def numerator_int(m: int, p: int, order) -> Series:
     return _numerator(m, p, "integer", order)
 
 
-def _boundary_terms(m, p, sector):
-    """(bracket index, q-shift, coefficient) of every boundary-sum term."""
-    if sector == "half":
-        return [
-            (2 * kk - 1, -rat(1, m) * (rat(kk) - rat(1, 2) + rat(m, 4)) ** 2,
-             -cyclo.I * cyclo.minus_one_pow(kk))
-            for kk in range(1, p * m + 1)
-        ]
-    sign_mp = cyclo.minus_one_pow(m * p)
-    return [
-        (2 * kk, -m * (rat(4 * p + 1, 4) - rat(kk, m)) ** 2,
-         sign_mp * cyclo.minus_one_pow(kk))
-        for kk in range(1, (m - 1) // 2 + 1)
-    ] + [
-        (2 * kk, -rat(1, m) * (rat(kk) + rat(m, 4)) ** 2, cyclo.minus_one_pow(kk))
-        for kk in range(1, p * m + 1)
-    ]
-
-
 def _sector_index(p, sector):
     """alpha = (4p + 1)/4 in the half sector, (4p - 1)/4 in the integer one."""
     return rat(4 * p + 1 if sector == "half" else 4 * p - 1, 4)
@@ -269,9 +250,12 @@ def _undivided(m, p, sector, order):
 
 
 def _numerator_raw(m, p, sector, order):
-    """F[m, s] of the sector's base s, built with ladder offset p: the
-    undivided expansion over the twisted constant of index 2m alpha at
-    degree m+1, plus the boundary sums.
+    """F[m, s] of the sector's base s, built with ladder offset p.
+
+    The closed expansion at offset p, the undivided expansion over the
+    twisted constant of index 2m alpha at degree m+1, is F[m, s0 - mp],
+    s0 = 1/2 in the half sector and (m+1)/2 in the integer one; the
+    boundary sums are the ladder walk from there to the base.
 
     The integer sector also twists it by e^{-pi i m/2}; m is odd there, so
     its divisor carries the + sign twist.
@@ -289,11 +273,10 @@ def _numerator_raw(m, p, sector, order):
     u = _undivided(m, p, sector, order + o0)
     kd = order - u.ord
     th0_inv = theta_pm(eps, idx0, big_m, kd + 2 * o0 + 1).inverse(order=kd)
-    total = (u * th0_inv).times_monomial(unit)
-    for idx, shift, coeff in _boundary_terms(m, p, sector):
-        br = bracket(idx, m, order - shift)
-        total = total + br.times_monomial(coeff, shift, R0)
-    return total
+    closed = (u * th0_inv).times_monomial(unit)
+    half = sector == "half"
+    s0, base = (rat(1, 2), rat(1, 2)) if half else (rat(m + 1, 2), R0)
+    return _walk(closed, m, s0 - m * p, base, order)
 
 
 def undivided_half_combination(m: int, p: int, order) -> Series:
@@ -303,8 +286,8 @@ def undivided_half_combination(m: int, p: int, order) -> Series:
     ``-i q^{m alpha^2} eta(2tau)^3 * (ratio pair)
       + q^{m^2 alpha^2/(m+1)} * (triple sums)``
 
-    It equals q^{m alpha^2} (-1)^{mp} theta_pm(+-, 2m alpha, m+1) times the
-    numerator less its boundary sums.  At degenerate (m, p) it must vanish
+    It equals q^{m alpha^2} (-1)^{mp} theta_pm(+-, 2m alpha, m+1) times
+    F[m, 1/2 - mp], the numerator less its boundary sums.  At degenerate (m, p) it must vanish
     identically, which is the only checkable residue of p-independence there.
     """
     m = int(m)
@@ -325,6 +308,17 @@ def ladder_step(m: int, s, order) -> Series:
     return br.times_monomial(coeff, shift, R0)
 
 
+def _walk(f, m, t, s, order):
+    """F[m, s] from f = F[m, t] by ladder steps, upward or downward."""
+    while t < s:
+        f = f - ladder_step(m, t, order)
+        t += 1
+    while t > s:
+        t -= 1
+        f = f + ladder_step(m, t, order)
+    return f
+
+
 def numerator(m: int, s, order) -> Series:
     """F[m, s] from the sector base by ladder steps (upward or downward)."""
     m = int(m)
@@ -336,16 +330,8 @@ def numerator(m: int, s, order) -> Series:
 
     def build():
         if half_sector:
-            f, t = numerator_half(m, 0, order), rat(1, 2)
-        else:
-            f, t = numerator_int(m, 0, order), R0
-        while t < s:
-            f = f - ladder_step(m, t, order)
-            t += 1
-        while t > s:
-            t -= 1
-            f = f + ladder_step(m, t, order)
-        return f
+            return _walk(numerator_half(m, 0, order), m, rat(1, 2), s, order)
+        return _walk(numerator_int(m, 0, order), m, R0, s, order)
 
     return _cached(("num", m, s, order), build)
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from thetaq._rational import R0, rat
 from thetaq import cyclo, numerators
 from thetaq.cyclo import phase
+from thetaq.identities import run_identity
 from thetaq.numerators import (
     DegenerateDivisorError,
     SUPPORTED_CHARACTERS,
@@ -131,6 +132,24 @@ def test_downward_ladder():
     down = numerator(3, rat(-1, 2), 4)
     up = numerator(3, rat(1, 2), 4) + ladder_step(3, rat(-1, 2), 4)
     assert_equal_series(down, up, 4)
+
+
+@pytest.mark.parametrize("slip", [
+    lambda f: -f,  # e^{+pi i s} for e^{-pi i s} at half-integer s
+    lambda f: f.times_monomial(cyclo.ONE, 1),
+], ids=["negated", "times_q"])
+def test_ladder_slip_fails_p_independence(monkeypatch, slip):
+    # the closed expansion at offset p is F[m, s0 - mp], walked to the sector
+    # base by ladder_step, so offsets 0, 1 and 2 disagree under a slipped step
+    step = numerators.ladder_step
+    monkeypatch.setattr(numerators, "ladder_step",
+                        lambda m, s, order: slip(step(m, s, order)))
+    numerators._cache.clear()
+    try:
+        for id_ in ("S4.pindep.m3.half", "S4.pindep.m3.int"):
+            assert run_identity(id_).status == "fail", id_
+    finally:
+        numerators._cache.clear()
 
 
 def test_numerator_base_cases_match():
