@@ -274,8 +274,8 @@ def _numerator_raw(m, p, sector, order):
     kd = order - u.ord
     th0_inv = theta_pm(eps, idx0, big_m, kd + 2 * o0 + 1).inverse(order=kd)
     closed = (u * th0_inv).times_monomial(unit)
-    half = sector == "half"
-    s0, base = (rat(1, 2), rat(1, 2)) if half else (rat(m + 1, 2), R0)
+    s0, base = ((rat(1, 2), rat(1, 2)) if sector == "half"
+                else (rat(m + 1, 2), R0))
     return _walk(closed, m, s0 - m * p, base, order)
 
 
@@ -287,8 +287,9 @@ def undivided_half_combination(m: int, p: int, order) -> Series:
       + q^{m^2 alpha^2/(m+1)} * (triple sums)``
 
     It equals q^{m alpha^2} (-1)^{mp} theta_pm(+-, 2m alpha, m+1) times
-    F[m, 1/2 - mp], the numerator less its boundary sums.  At degenerate (m, p) it must vanish
-    identically, which is the only checkable residue of p-independence there.
+    F[m, 1/2 - mp], the numerator less its boundary sums.  At degenerate
+    (m, p) it must vanish identically, which is the only checkable residue
+    of p-independence there.
     """
     m = int(m)
     p = int(p)
@@ -309,13 +310,16 @@ def ladder_step(m: int, s, order) -> Series:
 
 
 def _walk(f, m, t, s, order):
-    """F[m, s] from f = F[m, t] by ladder steps, upward or downward."""
+    """F[m, s] from f = F[m, t] by ladder steps, upward or downward; a step
+    whose bracket index 2t is 0 mod 2m vanishes and is skipped."""
     while t < s:
-        f = f - ladder_step(m, t, order)
+        if 2 * t % (2 * m):
+            f = f - ladder_step(m, t, order)
         t += 1
     while t > s:
         t -= 1
-        f = f + ladder_step(m, t, order)
+        if 2 * t % (2 * m):
+            f = f + ladder_step(m, t, order)
     return f
 
 

@@ -1,16 +1,16 @@
 """Opt-in mutation sweep: which one-operator slips does the registry see?
 
-    python3 tests/mutation_sweep.py [--timeout 120] [--out FILE] [MODULE ...]
+    python3 tests/mutation_sweep.py
 
-MODULE defaults to ``numerators thetalib``.  Each mutant flips one binary
-``+``/``-`` or drops one unary minus in one module of ``src/thetaq``, found
-with the stdlib ``ast`` and ``tokenize`` modules.  Mutants run one at a
-time: each is written into a temporary copy of the package, and ``verify
---all --format json --jobs 2`` runs on that copy in a fresh process (its own
-process group, 2 GiB of address space, killed with its pool at the
-timeout).  A case kills a mutant when its status differs from the unmutated
-copy's.  One line is printed per mutant; the survivors (mutants no case
-kills) are listed at the end, and written to FILE with ``--out``.
+Each mutant flips one binary ``+``/``-`` or drops one unary minus in
+``numerators.py`` or ``thetalib.py``, found with the stdlib ``ast`` and
+``tokenize`` modules.  Mutants run one at a time: each is written into a
+temporary copy of the package, and ``verify --all --format json --jobs 2``
+runs on that copy in a fresh process (its own process group, 2 GiB of
+address space, killed with its pool after 120 s).  A case kills a mutant
+when its status differs from the unmutated copy's.  One line is printed per
+mutant; the survivors (mutants no case kills) are listed at the end and
+written to ``tests/mutation_survivors.txt``.
 
 Nothing is written under ``src/``.  Not collected by pytest: a sweep runs
 ``verify --all`` once per mutant, and a mutant that loops or grows without
@@ -19,7 +19,6 @@ bound runs into the timeout or the memory cap.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import json
@@ -33,7 +32,10 @@ import tempfile
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "thetaq"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "thetaq"
+MODULES = ("numerators", "thetalib")
+TIMEOUT = 120
 MEMORY_CAP = 2 << 30
 
 
@@ -46,6 +48,11 @@ def mutants(source: str):
 
     def offset(row, col):
         return starts[row - 1] + col
+
+    def at(row, byte_col):
+        """(row, character column) of an ``ast`` position, which counts
+        UTF-8 bytes; ``tokenize`` counts characters."""
+        return row, len(lines[row - 1].encode()[:byte_col].decode())
 
     ops = [
         tok.start
@@ -61,24 +68,24 @@ def mutants(source: str):
         if id(node) in quoted:
             continue
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-            lo = (node.left.end_lineno, node.left.end_col_offset)
-            hi = (node.right.lineno, node.right.col_offset)
+            lo = at(node.left.end_lineno, node.left.end_col_offset)
+            hi = at(node.right.lineno, node.right.col_offset)
             row, col = next(p for p in ops if lo <= p < hi)
             old = "+" if isinstance(node.op, ast.Add) else "-"
             sites.append((row, col, old, "-" if old == "+" else "+"))
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            sites.append((node.lineno, node.col_offset, "-", ""))
+            sites.append((*at(node.lineno, node.col_offset), "-", ""))
     for row, col, old, new in sorted(sites):
-        at = offset(row, col)
-        assert source[at] == old
-        yield row, col, old, new, source[:at] + new + source[at + 1:]
+        i = offset(row, col)
+        assert source[i] == old
+        yield row, col, old, new, source[:i] + new + source[i + 1:]
 
 
 def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
-def statuses(src: Path, timeout):
+def statuses(src: Path):
     """id -> status of ``verify --all`` on the package under ``src``, or a
     one-word outcome when no report comes back."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
@@ -88,7 +95,7 @@ def statuses(src: Path, timeout):
                             stderr=subprocess.DEVNULL, text=True,
                             start_new_session=True, preexec_fn=_limit_memory)
     try:
-        out, _ = proc.communicate(timeout=timeout)
+        out, _ = proc.communicate(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
@@ -100,32 +107,25 @@ def statuses(src: Path, timeout):
     return {r["id"]: r["status"] for r in reports}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("modules", nargs="*", default=["numerators", "thetalib"])
-    ap.add_argument("--timeout", type=float, default=120.0,
-                    help="seconds per mutant (default 120)")
-    ap.add_argument("--out", help="write the survivor list to this file")
-    args = ap.parse_args(argv)
-
+def main() -> int:
     survivors = []
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(PACKAGE, src / "thetaq",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        base = statuses(src, args.timeout)
+        base = statuses(src)
         if isinstance(base, str) or set(base.values()) != {"pass"}:
             print(f"unmutated copy does not pass every case: {base!r:.200}")
             return 2
-        for name in args.modules:
+        for name in MODULES:
             path = src / "thetaq" / f"{name}.py"
             original = path.read_text()
             text = original.splitlines()
             for row, col, old, new, mutated in mutants(original):
                 count += 1
                 path.write_text(mutated)
-                got = statuses(src, args.timeout)
+                got = statuses(src)
                 path.write_text(original)
                 if isinstance(got, str):
                     verdict = got
@@ -139,11 +139,10 @@ def main(argv=None) -> int:
                 if verdict == "killed by 0":
                     survivors.append(site)
     head = (f"# {len(survivors)} of {count} mutants survive: "
-            f"tests/mutation_sweep.py {' '.join(args.modules)}\n")
+            f"tests/mutation_sweep.py\n")
     listing = head + "".join(s + "\n" for s in survivors)
     print("\n" + listing, end="")
-    if args.out:
-        Path(args.out).write_text(listing)
+    (TESTS / "mutation_survivors.txt").write_text(listing)
     return 0
 
 
