@@ -288,8 +288,7 @@ def undivided_half_combination(m: int, p: int, order) -> Series:
 
     It equals q^{m alpha^2} (-1)^{mp} theta_pm(+-, 2m alpha, m+1) times
     F[m, 1/2 - mp], the numerator less its boundary sums.  At degenerate
-    (m, p) it must vanish identically, which is the only checkable residue
-    of p-independence there.
+    (m, p) it vanishes identically: p-independence's only residue there.
     """
     m = int(m)
     p = int(p)
@@ -310,8 +309,7 @@ def ladder_step(m: int, s, order) -> Series:
 
 
 def _walk(f, m, t, s, order):
-    """F[m, s] from f = F[m, t] by ladder steps, upward or downward; a step
-    whose bracket index 2t is 0 mod 2m vanishes and is skipped."""
+    """F[m, s] from f = F[m, t] by the ladder steps that do not vanish."""
     while t < s:
         if 2 * t % (2 * m):
             f = f - ladder_step(m, t, order)

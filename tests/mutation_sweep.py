@@ -67,7 +67,8 @@ def mutants(source: str):
     for node in ast.walk(tree):
         if id(node) in quoted:
             continue
-        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        if (isinstance(node, ast.BinOp)
+                and isinstance(node.op, (ast.Add, ast.Sub))):
             lo = at(node.left.end_lineno, node.left.end_col_offset)
             hi = at(node.right.lineno, node.right.col_offset)
             row, col = next(p for p in ops if lo <= p < hi)
@@ -134,7 +135,8 @@ def main() -> int:
                     verdict = f"killed by {len(killed)}"
                     if 0 < len(killed) <= 3:
                         verdict += f" ({', '.join(killed)})"
-                site = f"{name}.py:{row}:{col} {old!r} -> {new!r}: {text[row - 1].strip()}"
+                site = (f"{name}.py:{row}:{col} {old!r} -> {new!r}: "
+                        f"{text[row - 1].strip()}")
                 print(f"{verdict:<12} {site}", flush=True)
                 if verdict == "killed by 0":
                     survivors.append(site)
