@@ -14,6 +14,10 @@ inverses accumulate these components directly and build one ``CycloNum``
 per output term.  An ``int`` and a ``Fraction`` of equal value compare,
 hash and print alike, so the form never shows in a value.
 
+One number scaling many values (a series times a monomial, a pivot row)
+goes through :func:`scaler`, which decides the case once per number: 1
+keeps each value, r*w^k rotates and scales its components in ints.
+
 Values are immutable; ``ZERO``, ``ONE``, ``I`` and the eight units returned
 by :func:`phase` are shared singletons.
 """
@@ -184,6 +188,38 @@ _EIGHTH_TURNS = (
 )
 
 _UNIT_TURNS = {u.c: k for k, u in enumerate(_EIGHTH_TURNS)}
+
+
+def scaler(c: CycloNum):
+    """The map v -> c*v, its case decided once for many v."""
+    nz = [k for k, x in enumerate(c.c) if x]
+    if len(nz) != 1:
+        return c.__mul__
+    k = nz[0]
+    n, d = c.c[k].numerator, c.c[k].denominator
+    if k == 0 and n == d == 1:
+        return lambda v: v  # values are immutable, so v itself is c*v
+    # r*w^k*v: component i of v moves to i + k, negated past w^3 (w^4 = -1)
+    i0, i1, i2, i3 = ((i - k) % 4 for i in range(4))
+    n0, n1, n2, n3 = (-n if i < k else n for i in range(4))
+    if d == 1:
+        return lambda v: CycloNum._raw(
+            v.c[i0] * n0, v.c[i1] * n1, v.c[i2] * n2, v.c[i3] * n3)
+
+    def part(x, num):
+        if type(x) is int:
+            x *= num
+            return x // d if x % d == 0 else rat(x, d)
+        return _canon(x * num / d)
+
+    def scaled(v):
+        a = v.c
+        out = CycloNum.__new__(CycloNum)
+        out.c = (part(a[i0], n0), part(a[i1], n1), part(a[i2], n2),
+                 part(a[i3], n3))
+        return out
+
+    return scaled
 
 
 def phase(r) -> CycloNum:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 
+from . import cyclo
 from ._rational import rat, rat_str
 from .series import (InsufficientOrderError, Series, _components, _convolve,
                      _gather, _series, align)
@@ -224,10 +225,10 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
         if not row:
             continue  # consistency judged by the final re-multiplication
         pc = min(row)
-        inv = row[pc].inverse()
-        row = {c: inv * v for c, v in row.items()}
+        scale = cyclo.scaler(row[pc].inverse())
+        row = {c: scale(v) for c, v in row.items()}
         if rv is not None:
-            rv = inv * rv
+            rv = scale(rv)
         pivots[pc] = (row, rv)
         # the reduced row holds no pivot but pc, so its other columns are open
         still_open[pc] = len(row) - 1

@@ -64,7 +64,7 @@ class NonUnitLeadingError(ValueError):
 
 def _grid_bound(x, den):
     """The least integer n with n/den >= x, so that q/den < x iff q < n."""
-    if x == INF:
+    if type(x) is float:  # INF, the only float cutoff
         return INF
     return -((-x.numerator * den) // x.denominator)
 
@@ -327,7 +327,8 @@ class Series:
         return _series(_gather(acc), den, bound)
 
     def times_monomial(self, coeff: CycloNum, dq=R0, dz=R0) -> Series:
-        """Multiply by an exact monomial (shifts exponents, scales trust)."""
+        """Multiply by an exact monomial (shifts exponents, scales trust);
+        the terms share one :func:`thetaq.cyclo.scaler`."""
         if coeff.is_zero():
             return Series.zero(INF)
         dq = rat(dq)
@@ -336,8 +337,9 @@ class Series:
         f = den // self.den
         sq = dq.numerator * (den // dq.denominator)
         sz = dz.numerator * (den // dz.denominator)
+        scale = cyclo.scaler(coeff)
         out = {
-            (q * f + sq, z * f + sz): coeff * v
+            (q * f + sq, z * f + sz): scale(v)
             for (q, z), v in self._t.items()
         }
         return _series(out, den, self.cutoff + dq)
@@ -352,6 +354,7 @@ class Series:
         y = 1/(1 + x) follow from the reciprocal recurrence (Brent & Kung,
         J. ACM 25, 1978): y_0 = 1 and y_e = -sum_{0<k<=e} x_k y_{e-k}, each
         x_k and y_e a Laurent polynomial in z.  The result is M^{-1} y.
+        x and the result are scaled by one :func:`thetaq.cyclo.scaler` each.
         """
         if not self._t:
             raise NonUnitLeadingError("cannot invert a series with no terms")
@@ -376,7 +379,7 @@ class Series:
         inv_lead = ca.inverse()
         # bound for y, before the shift by M^{-1}
         bound = _grid_bound(target + rat(qa, den), den)
-        minus_inv_lead = -inv_lead
+        minus_inv_lead = cyclo.scaler(-inv_lead)
         # k -> [(i, z, component i of the -x coefficient)] for 0 < k < bound
         layers: dict = {}
         for (q, z), v in self._t.items():
@@ -384,7 +387,7 @@ class Series:
             if 0 < k < bound:
                 layers.setdefault(k, []).extend(
                     (i, z - za, c)
-                    for i, c in enumerate((minus_inv_lead * v).c) if c
+                    for i, c in enumerate(minus_inv_lead(v).c) if c
                 )
         steps = sorted(layers.items())
         y: dict = {}  # e -> four {z: component i} dicts
@@ -407,8 +410,9 @@ class Series:
             ye = tuple({z: c for z, c in t.items() if c} for t in acc)
             if any(ye):
                 y[e] = ye
+        scale = cyclo.scaler(inv_lead)
         out = {
-            (e - qa, z - za): inv_lead * c
+            (e - qa, z - za): scale(c)
             for e, ye in y.items()
             for z, c in _gather(ye).items()
         }

@@ -65,7 +65,8 @@ class ThetaSpec:
         return (self.j, self.m, self.qscale, self.zcoeff, self.tshift, self.cshift)
 
     def normalized(self) -> "ThetaSpec":
-        return ThetaSpec(*map(rat, self._fields()))
+        return ThetaSpec(*(x if type(x) is rat else rat(x)
+                           for x in self._fields()))
 
 
 def _below(a, b, c):
@@ -124,14 +125,16 @@ def _theta(spec, order) -> Series:
         raise ValueError("theta degree must be positive")
     if c1 <= 0:
         raise ValueError("theta q-scale must be positive")
-    # the phase of n = j/(2m) + k is e^{2 pi i m n c} = w^(4cj + 8mck)
-    u0, u1 = 4 * c * j, 8 * c * m
-    if u0.denominator != 1 or u1.denominator != 1:
-        raise PhaseError(
-            f"phase outside Q(zeta_8): theta index {j}, degree {m}, "
-            f"constant shift {c}"
-        )
-    return _coset_sum(j / (2 * m), c1 * m, b * m, a * m, order, int(u0), int(u1))
+    u0 = u1 = 0
+    if c:  # the phase of n = j/(2m) + k is e^{2 pi i m n c} = w^(4cj + 8mck)
+        u0, u1 = 4 * c * j, 8 * c * m
+        if u0.denominator != 1 or u1.denominator != 1:
+            raise PhaseError(
+                f"phase outside Q(zeta_8): theta index {j}, degree {m}, "
+                f"constant shift {c}"
+            )
+    return _coset_sum(j / (2 * m), c1 * m, b * m if b else R0,
+                      a * m if a else R0, order, int(u0), int(u1))
 
 
 def theta_jm(j, m, order) -> Series:

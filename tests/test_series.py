@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from thetaq._rational import INF, rat
 from thetaq import cyclo
 from thetaq.cyclo import CycloNum
-from thetaq.series import InsufficientOrderError, NonUnitLeadingError, Series
+from thetaq.series import (InsufficientOrderError, NonUnitLeadingError, Series,
+                           _grid_bound)
 from thetaq.thetalib import eta, mumford, theta_jm
 
 from conftest import (assert_canonical, assert_equal_series, random_series,
@@ -64,6 +65,16 @@ def test_finite_cutoffs_are_fractions():
                      rat(5, 2)]
     assert all(type(x) is Fraction for x in cases)
     assert Series.zero().cutoff == INF
+
+
+def test_shifted_inf_is_still_inf():
+    # INF + 1/2 is a new float object, so INF is recognized by type
+    one = Series.one().times_monomial(cyclo.ONE, rat(1, 2))
+    assert one.cutoff == INF
+    assert _grid_bound(one.cutoff, 4) == INF
+    finite = S([(0, 0, 1), (1, 0, 2)], cutoff=5)
+    assert (one * finite).cutoff == rat(11, 2)
+    assert (finite * one).cutoff == rat(11, 2)
 
 
 def test_geometric_inverse():
