@@ -11,7 +11,7 @@ from ._rational import BACKEND, INF, rat, rat_from_str, rat_str
 from .cyclo import CycloNum, PhaseError, phase
 from .linsolve import Decomposition, decompose, membership
 from .series import InsufficientOrderError, NonUnitLeadingError, Series
-from .thetalib import ThetaSpec, bracket, eta, mumford, theta, theta_jm, theta_pm
+from .thetalib import bracket, eta, mumford, theta, theta_pm
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,6 @@ __all__ = [
     "NonUnitLeadingError",
     "PhaseError",
     "Series",
-    "ThetaSpec",
     "bracket",
     "decompose",
     "eta",
@@ -35,7 +34,6 @@ __all__ = [
     "rat_from_str",
     "rat_str",
     "theta",
-    "theta_jm",
     "theta_pm",
     "__version__",
 ]

@@ -22,7 +22,7 @@ from .identities import (
     summarize,
 )
 from .numerators import character, numerator, u_basis
-from .thetalib import ThetaSpec, eta, mumford, theta
+from .thetalib import eta, mumford, theta
 
 
 class UsageError(Exception):
@@ -98,26 +98,26 @@ def _emit_series(s: Series, fmt: str):
         print(s.text())
 
 
+# the argument shifts that ``theta`` and ``mumford`` take, with defaults
+_SHIFTS = {"qscale": "1", "zcoeff": "1", "tshift": "0", "cshift": "0"}
+
+
+def _shifts(args):
+    return {name: _frac(getattr(args, name)) for name in _SHIFTS}
+
+
 def cmd_expand(args) -> int:
     order, fmt, _ = _resolve(args)
     if order is None:
         order = rat(6)
     kind = args.kind
     if kind == "theta":
-        spec = ThetaSpec(
-            _frac(args.j), _frac(args.m), _frac(args.qscale),
-            _frac(args.zcoeff), _frac(args.tshift), _frac(args.cshift),
-        )
-        _emit_series(theta(spec, order), fmt)
+        _emit_series(
+            theta(_frac(args.j), _frac(args.m), order, **_shifts(args)), fmt)
     elif kind == "eta":
         _emit_series(eta(_frac(args.scale), args.power, order), fmt)
     elif kind == "mumford":
-        _emit_series(
-            mumford(args.label, order, qscale=_frac(args.qscale),
-                    zcoeff=_frac(args.zcoeff), tshift=_frac(args.tshift),
-                    cshift=_frac(args.cshift)),
-            fmt,
-        )
+        _emit_series(mumford(args.label, order, **_shifts(args)), fmt)
     elif kind == "numerator":
         _emit_series(numerator(args.m_level, _frac(args.s), order), fmt)
     elif kind == "character":
@@ -277,19 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
     th = exsub.add_parser("theta", parents=[common])
     th.add_argument("--j", required=True)
     th.add_argument("--m", required=True)
-    th.add_argument("--qscale", default="1")
-    th.add_argument("--zcoeff", default="1")
-    th.add_argument("--tshift", default="0")
-    th.add_argument("--cshift", default="0")
     et = exsub.add_parser("eta", parents=[common])
     et.add_argument("--scale", default="1")
     et.add_argument("--power", type=int, default=1)
     mu = exsub.add_parser("mumford", parents=[common])
     mu.add_argument("--label", required=True, choices=("00", "01", "10", "11"))
-    mu.add_argument("--qscale", default="1")
-    mu.add_argument("--zcoeff", default="1")
-    mu.add_argument("--tshift", default="0")
-    mu.add_argument("--cshift", default="0")
+    for p in (th, mu):
+        for name, default in _SHIFTS.items():
+            p.add_argument(f"--{name}", default=default)
     nu = exsub.add_parser("numerator", parents=[common])
     nu.add_argument("--m", dest="m_level", type=int, required=True)
     nu.add_argument("--s", required=True)

@@ -96,13 +96,6 @@ class CycloNum:
             a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
         )
 
-    def scale(self, r) -> CycloNum:
-        """Multiply by a plain rational (cheaper than full products)."""
-        if not r:
-            return ZERO
-        a = self.c
-        return CycloNum._raw(a[0] * r, a[1] * r, a[2] * r, a[3] * r)
-
     def conj_pow(self, k: int) -> CycloNum:
         """Galois image under w -> w^k for odd k (1, 3, 5, 7)."""
         a = self.c
@@ -133,7 +126,7 @@ class CycloNum:
         b = self.conj_pow(3) * self.conj_pow(5) * self.conj_pow(7)
         n = self * b
         assert n.is_rational() and n.c[0]
-        return b.scale(R1 / n.c[0])
+        return CycloNum(R1 / n.c[0]) * b
 
     # -- comparison / rendering ------------------------------------------
 
@@ -230,15 +223,3 @@ def phase(r) -> CycloNum:
         raise PhaseError(f"phase outside Q(zeta_8): e^(2*pi*i*{r})")
     return _EIGHTH_TURNS[int(k) % 8]
 
-
-def from_rational(r) -> CycloNum:
-    r = rat(r)
-    if not r:
-        return ZERO
-    if r == 1:
-        return ONE
-    return CycloNum(r)
-
-
-def minus_one_pow(n: int) -> CycloNum:
-    return MINUS_ONE if n % 2 else ONE

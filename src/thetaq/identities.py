@@ -41,16 +41,7 @@ from .numerators import (
     undivided_half_combination,
 )
 from .series import Series
-from .thetalib import (
-    ThetaSpec,
-    bracket,
-    eta,
-    mumford,
-    theta,
-    theta_jm,
-    theta_pm,
-    theta_zero_arg,
-)
+from .thetalib import bracket, eta, mumford, theta, theta_pm
 
 
 class IdentityCase:
@@ -177,7 +168,7 @@ def _law(gen, level, index, const, count):
     def b(order):
         out = Series.zero(rat(order))
         for r in range(count):
-            c = theta_zero_arg(c0 + c1 * r, cl, order)
+            c = theta(c0 + c1 * r, cl, order, zcoeff=0)
             out = out + c * g(i0 + i1 * r, level, order)
         return out
 
@@ -261,10 +252,10 @@ def _add(reg, id_, kind, order, anchor, run):
 def _build_s2(reg):
     # classical two-variable thetas as index combinations
     combos = {
-        "00": lambda o: theta_jm(0, 2, o) + theta_jm(2, 2, o),
-        "01": lambda o: theta_jm(0, 2, o) - theta_jm(2, 2, o),
-        "10": lambda o: theta_jm(1, 2, o) + theta_jm(-1, 2, o),
-        "11": lambda o: (theta_jm(1, 2, o) - theta_jm(-1, 2, o)).times_monomial(
+        "00": lambda o: theta(0, 2, o) + theta(2, 2, o),
+        "01": lambda o: theta(0, 2, o) - theta(2, 2, o),
+        "10": lambda o: theta(1, 2, o) + theta(-1, 2, o),
+        "11": lambda o: (theta(1, 2, o) - theta(-1, 2, o)).times_monomial(
             cyclo.I
         ),
     }
@@ -281,8 +272,8 @@ def _build_s2(reg):
                         f"theta multiplication law, degrees ({n},{m}), "
                         f"indices ({_fmt(j)},{_fmt(k)})",
                         equality_check(
-                            _prod(_gen(theta_jm, j, n), _gen(theta_jm, k, m)),
-                            _law(theta_jm, m + n, (j + k, 2 * m),
+                            _prod(_gen(theta, j, n), _gen(theta, k, m)),
+                            _law(theta, m + n, (j + k, 2 * m),
                                  (k * n - j * m, 2 * m * n, m * n * (m + n)),
                                  m + n),
                         ),
@@ -295,14 +286,14 @@ def _build_s2(reg):
             mm1, mm2 = m * (m + 1), 2 * m * (m + 2)
             laws = [
                 ("n1spec.i1", "index-0 degree-1 multiplication",
-                 _gen(theta_jm, 0, 1), m + 1, (k, 2), (k, -2 * m, mm1), m + 1),
+                 _gen(theta, 0, 1), m + 1, (k, 2), (k, -2 * m, mm1), m + 1),
                 ("n1spec.i2", "index-1 degree-1 multiplication",
-                 _gen(theta_jm, 1, 1), m + 1, (k + 1, 2), (k - m, -2 * m, mm1),
+                 _gen(theta, 1, 1), m + 1, (k + 1, 2), (k - m, -2 * m, mm1),
                  m + 1),
             ]
             laws += [
                 (f"n2spec.i{item}", f"degree-2 multiplication item {item}",
-                 _gen(theta_jm, jj, 2), m + 2, (k + jj, 4),
+                 _gen(theta, jj, 2), m + 2, (k + jj, 4),
                  (2 * k - jj * m, -4 * m, mm2), m + 2)
                 for item, jj in enumerate((0, 2, 1, -1), start=1)
             ]
@@ -313,8 +304,8 @@ def _build_s2(reg):
             for tag, what, factor, level, index, const, count in laws:
                 _add(reg, f"S2.{tag}.m{m}k{_fmt(k)}", "equality", 6,
                      f"{what}, level {m}, index {_fmt(k)}",
-                     equality_check(_prod(factor, _gen(theta_jm, k, m)),
-                                    _law(theta_jm, level, index, const, count)))
+                     equality_check(_prod(factor, _gen(theta, k, m)),
+                                    _law(theta, level, index, const, count)))
 
     for label, combo in combos.items():
         _add(reg, f"S2.mumford-def.{label}", "equality", 6,
@@ -329,10 +320,10 @@ def _build_s2(reg):
 
     # the doubled-argument brace, big +- 2 * small
     def brace_plus(o):
-        return big(o) + small(o).times_monomial(cyclo.from_rational(2))
+        return big(o) + small(o).times_monomial(cyclo.CycloNum(2))
 
     def brace_minus(o):
-        return big(o) - small(o).times_monomial(cyclo.from_rational(2))
+        return big(o) - small(o).times_monomial(cyclo.CycloNum(2))
 
     _add(reg, "S2.mumford.item1", "equality", 6,
          "squared 00-theta via doubled arguments",
@@ -382,22 +373,22 @@ def _build_s2(reg):
     def half_eta(sign):
         def b(o):
             s = sq_a(o) + sq_b(o) if sign > 0 else sq_a(o) - sq_b(o)
-            return (eta(1, 1, o) * s).times_monomial(cyclo.from_rational(rat(1, 2)))
+            return (eta(1, 1, o) * s).times_monomial(cyclo.CycloNum(rat(1, 2)))
 
         return b
 
     _add(reg, "S2.squares.item1", "equality", 6,
          "square of the index-0 degree-1 theta",
-         equality_check(lambda o: theta_jm(0, 1, o) * theta_jm(0, 1, o),
+         equality_check(lambda o: theta(0, 1, o) * theta(0, 1, o),
                         half_eta(1)))
     _add(reg, "S2.squares.item2", "equality", 6,
          "square of the index-1 degree-1 theta",
-         equality_check(lambda o: theta_jm(1, 1, o) * theta_jm(1, 1, o),
+         equality_check(lambda o: theta(1, 1, o) * theta(1, 1, o),
                         half_eta(-1)))
     _add(reg, "S2.squares.item3", "equality", 6,
          "product of the two degree-1 thetas",
          equality_check(
-             lambda o: theta_jm(0, 1, o) * theta_jm(1, 1, o),
+             lambda o: theta(0, 1, o) * theta(1, 1, o),
              _prod(_e(2, 2), _e(1, -1), lambda o: mumford("10", o)),
          ))
 
@@ -410,10 +401,9 @@ def _build_s2(reg):
                 qpow = -rat(m * m, m + 1) * rat(4 * p + sgn, 4) ** 2
                 ph = phase(rat(m * (4 * p + sgn), 8))
                 twist = 1 if m % 2 else -1
-                lhs_a = _gen(theta, ThetaSpec(0, m + 1, zcoeff=0, tshift=tsh,
-                                              cshift=rat(-1, 2)))
-                mid_a = _gen(theta, ThetaSpec(idx, m + 1, zcoeff=0,
-                                              cshift=rat(-1, 2)))
+                lhs_a = _gen(theta, 0, m + 1, zcoeff=0, tshift=tsh,
+                             cshift=rat(-1, 2))
+                mid_a = _gen(theta, idx, m + 1, zcoeff=0, cshift=rat(-1, 2))
                 _add(reg, f"S2.shift626a.item{tag}a.p{p}m{m}", "equality", 6,
                      f"half-period slice vs shifted index, m={m}, p={p}",
                      equality_check(lhs_a, _shifted(mid_a, qpow, coeff=ph)))
@@ -448,8 +438,8 @@ def _build_s2(reg):
                 _add(reg, f"S2.shift626a.item{tag}.p{p}m{m}", "equality", 6,
                      f"{what}, m={m}, p={p}, branch {tag}",
                      equality_check(
-                         _gen(theta, ThetaSpec(0, m + 1, zcoeff=zsgn, tshift=tsh)),
-                         _shifted(_gen(theta_jm, idx, m + 1), qpow, zpow),
+                         _gen(theta, 0, m + 1, zcoeff=zsgn, tshift=tsh),
+                         _shifted(_gen(theta, idx, m + 1), qpow, zpow),
                      ))
 
     for p in _SHIFTS:
@@ -465,7 +455,7 @@ def _build_s2(reg):
                  f"doubled-argument 10-theta tau-shift, p={p}, item {tag}",
                  equality_check(
                      _gen(mumford, "10", qscale=2, tshift=2 * tsh),
-                     _shifted(_gen(theta_jm, idx, 1), qpow, zpow),
+                     _shifted(_gen(theta, idx, 1), qpow, zpow),
                  ))
 
     # shifted theta over shifted doubled 10-theta:
@@ -497,7 +487,7 @@ def _build_s2(reg):
 
 
 def _shifted_ratio(m, zcoeff, tshift, den_tshift, order):
-    num = theta(ThetaSpec(0, m + 1, zcoeff=zcoeff, tshift=tshift), order)
+    num = theta(0, m + 1, order, zcoeff=zcoeff, tshift=tshift)
     return num * mumford("10", order, qscale=2, tshift=den_tshift).inverse()
 
 
@@ -505,19 +495,19 @@ def _index_ratio(m, idx, den_idx, order):
     # ``_shifted`` may pass an order at or below the divisor's q^(1/16) lead;
     # build the divisor to 1 so it keeps that term, and cut its inverse at
     # ``order``
-    den = theta_jm(den_idx, 1, max(order, R1)).inverse(order=order)
-    return theta_jm(idx, m + 1, order) * den
+    den = theta(den_idx, 1, max(order, R1)).inverse(order=order)
+    return theta(idx, m + 1, order) * den
 
 
 def _build_s3(reg):
     _add(reg, "S3.coincide.00", "equality", 8,
          "doubled 00-theta equals the index-0 degree-1 theta",
          equality_check(lambda o: mumford("00", o, qscale=2),
-                        lambda o: theta_jm(0, 1, o)))
+                        lambda o: theta(0, 1, o)))
     _add(reg, "S3.coincide.10", "equality", 8,
          "doubled 10-theta equals the index-1 degree-1 theta",
          equality_check(lambda o: mumford("10", o, qscale=2),
-                        lambda o: theta_jm(1, 1, o)))
+                        lambda o: theta(1, 1, o)))
 
     for m2, lbl, coef in ((0, "00", cyclo.MINUS_ONE), (1, "10", -cyclo.I)):
         _add(reg, f"S3.char-m1.{m2}", "equality", 6,
@@ -572,8 +562,8 @@ def _build_s3(reg):
     A = _prod(_e(1, 3), _e(rat(1, 2), -1), _e(2, -1))
     B = _prod(_e(rat(1, 2), 1), _e(2, 1), _e(1, -2))
     C = _prod(_e(1, 1), _e(rat(1, 2), -1))
-    half = cyclo.from_rational(rat(1, 2))
-    mhalf = cyclo.from_rational(rat(-1, 2))
+    half = cyclo.CycloNum(rat(1, 2))
+    mhalf = cyclo.CycloNum(rat(-1, 2))
 
     _add(reg, "S3.prod.K1xK1.case1", "branching", 6,
          "product of the two level-1 characters over the odd level-2 character",
@@ -741,7 +731,7 @@ def _build_s5(reg):
                          f"(level {m}, index {k}) lands in the level-{m + n} "
                          f"{sector} span",
                          membership_check(
-                             _prod(_gen(theta_jm, j, n), _gen(bracket, k, m)),
+                             _prod(_gen(theta, j, n), _gen(bracket, k, m)),
                              _ub(m + n, sector),
                          ))
 
@@ -758,14 +748,14 @@ def _build_s5(reg):
         # -1 + (1 -+ 2r)(m+1); the identity verifies (and is derivable from
         # the two-term degree-2 law) only with +1
         for tag, factor, a, (level, cl, count), index, (c0, c1) in (
-            ("1i", _gen(theta_jm, 0, 1), h, lo, (h, 2), (h, -f)),
-            ("1ii", _gen(theta_jm, 0, 1), -h, lo, (-h, 2), (h, f)),
-            ("2i", _gen(theta_jm, 1, 1), h, lo, (-h, 2), (h + m + 1, -f)),
-            ("2ii", _gen(theta_jm, 1, 1), -h, lo, (h, 2), (h + m + 1, f)),
-            ("3i", _gen(theta_jm, 0, 2), h, hi, (h, 4), (1, -2 * f)),
-            ("3ii", _gen(theta_jm, 0, 2), -h, hi, (-h, 4), (1, 2 * f)),
-            ("4i", _gen(theta_jm, 2, 2), h, hi, (5 * h, 4), (1 - f, -2 * f)),
-            ("4ii", _gen(theta_jm, 2, 2), -h, hi, (3 * h, 4), (1 + f, 2 * f)),
+            ("1i", _gen(theta, 0, 1), h, lo, (h, 2), (h, -f)),
+            ("1ii", _gen(theta, 0, 1), -h, lo, (-h, 2), (h, f)),
+            ("2i", _gen(theta, 1, 1), h, lo, (-h, 2), (h + m + 1, -f)),
+            ("2ii", _gen(theta, 1, 1), -h, lo, (h, 2), (h + m + 1, f)),
+            ("3i", _gen(theta, 0, 2), h, hi, (h, 4), (1, -2 * f)),
+            ("3ii", _gen(theta, 0, 2), -h, hi, (-h, 4), (1, 2 * f)),
+            ("4i", _gen(theta, 2, 2), h, hi, (5 * h, 4), (1 - f, -2 * f)),
+            ("4ii", _gen(theta, 2, 2), -h, hi, (3 * h, 4), (1 + f, 2 * f)),
             ("5i", _gen(mumford, "10"), h, hi2, (-h, 2), (m + 2, -f)),
             ("5ii", _gen(mumford, "10"), -h, hi2, (h, 2), (m + 2, f)),
         ):
@@ -780,19 +770,19 @@ def _build_s5(reg):
     closure = []
     for m in _SMALL:
         closure.append((f"item1.m{m}", m, "half",
-                        lambda o: theta_jm(0, 1, o), m + 1, "half"))
-    closure.append(("item2i.m2", 2, "half", lambda o: theta_jm(1, 1, o), 3,
+                        lambda o: theta(0, 1, o), m + 1, "half"))
+    closure.append(("item2i.m2", 2, "half", lambda o: theta(1, 1, o), 3,
                     "integer"))
     for m in (1, 3):
         closure.append((f"item2ii.m{m}", m, "integer",
-                        lambda o: theta_jm(1, 1, o), m + 1, "half"))
+                        lambda o: theta(1, 1, o), m + 1, "half"))
     for j in (0, 2):
         for m in _SMALL:
             closure.append((f"item3i.j{j}.m{m}", m, "half",
-                            _gen(theta_jm, j, 2), m + 2, "half"))
+                            _gen(theta, j, 2), m + 2, "half"))
         for m in (1, 3):
             closure.append((f"item3ii.j{j}.m{m}", m, "integer",
-                            _gen(theta_jm, j, 2), m + 2, "integer"))
+                            _gen(theta, j, 2), m + 2, "integer"))
     for m in (1, 3):
         closure.append((f"item4i.m{m}", m, "half", lambda o: mumford("10", o),
                         m + 2, "integer"))

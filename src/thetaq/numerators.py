@@ -48,7 +48,7 @@ from .thetalib import (
     bracket,
     eta,
     mumford,
-    theta_jm,
+    theta,
     theta_pm,
 )
 
@@ -82,7 +82,7 @@ def theta_inv_half(j, order) -> Series:
     order = rat(order)
     return _cached(
         ("thinv", rat(j), order),
-        lambda: theta_jm(j, 1, order + rat(1, 8)).inverse(),
+        lambda: theta(j, 1, order + rat(1, 8)).inverse(),
     )
 
 
@@ -98,8 +98,8 @@ def ratio_pair(a, big_m, order) -> Series:
     k = order + rat(1, 16)
     return _cached(
         ("rpair", a, big_m, order),
-        lambda: theta_jm(a, big_m, k) * theta_inv_half(rat(-1, 2), k)
-        - theta_jm(-a, big_m, k) * theta_inv_half(rat(1, 2), k),
+        lambda: theta(a, big_m, k) * theta_inv_half(rat(-1, 2), k)
+        - theta(-a, big_m, k) * theta_inv_half(rat(1, 2), k),
     )
 
 
@@ -264,7 +264,7 @@ def _numerator_raw(m, p, sector, order):
     big_m = m + 1
     eps = 1 if m % 2 else -1
     idx0 = 2 * m * alpha
-    unit = cyclo.minus_one_pow(m * p)
+    unit = phase(rat(m * p, 2))
     if sector != "half":
         unit = unit * phase(-rat(m, 4))
     o0 = big_m * _min_coset_abs(idx0 / (2 * big_m)) ** 2
@@ -407,7 +407,7 @@ def character(m: int, m2: int, order) -> Series:
 def _character_raw(m, m2, order):
     k = order
     if m == 1:
-        th = theta_jm(m2, 1, k)
+        th = theta(m2, 1, k)
         s = th * eta(1, -1, k)
         return s.times_monomial(-cyclo.I if m2 == 1 else -cyclo.ONE)
     if m == 2 and m2 == 1:
@@ -418,7 +418,7 @@ def _character_raw(m, m2, order):
         b = eta(rat(1, 2), -1, k) * eta(2, -1, k) * mumford("00", k)
         sgn = cyclo.ONE if m2 == 0 else cyclo.MINUS_ONE
         return (a + b.times_monomial(sgn)).times_monomial(
-            cyclo.from_rational(rat(-1, 2))
+            cyclo.CycloNum(rat(-1, 2))
         )
     # m == 4
     pref = eta(rat(1, 2), -1, k) * eta(2, -1, k)
@@ -426,7 +426,7 @@ def _character_raw(m, m2, order):
     b = eta(2, 1, k) * eta(1, -2, k) * mumford("00", k) * mumford("10", k)
     sgn = cyclo.ONE if m2 == 1 else cyclo.MINUS_ONE
     s = pref * (a + b.times_monomial(sgn))
-    return s.times_monomial(cyclo.I.scale(rat(1, 2)))
+    return s.times_monomial(cyclo.CycloNum(R0, R0, rat(1, 2)))
 
 
 def derived_denominator(order) -> Series:
@@ -443,7 +443,7 @@ def derived_denominator(order) -> Series:
     k = order + rat(1, 8)
 
     def build():
-        th_inv = theta_jm(0, 1, k).inverse(order=order)
+        th_inv = theta(0, 1, k).inverse(order=order)
         s = eta(1, 1, order) * numerator_half(1, 0, k) * th_inv
         return s.times_monomial(cyclo.MINUS_ONE)
 

@@ -50,25 +50,6 @@ def _cached(key, build):
     return hit
 
 
-class ThetaSpec:
-    """theta_{j,m}(qscale * tau, zcoeff * z + tshift * tau + cshift)."""
-
-    def __init__(self, j, m, qscale=1, zcoeff=1, tshift=0, cshift=0):
-        self.j = j
-        self.m = m
-        self.qscale = qscale
-        self.zcoeff = zcoeff
-        self.tshift = tshift
-        self.cshift = cshift
-
-    def _fields(self):
-        return (self.j, self.m, self.qscale, self.zcoeff, self.tshift, self.cshift)
-
-    def normalized(self) -> "ThetaSpec":
-        return ThetaSpec(*(x if type(x) is rat else rat(x)
-                           for x in self._fields()))
-
-
 def _below(a, b, c):
     """Exactly the integers k with a*k^2 + b*k + c < 0, for integers a > 0,
     b and c.
@@ -110,41 +91,32 @@ def _coset_sum(n0, aa, bb, zc, order, u0=0, u1=0) -> Series:
     return _series(*_reduced(_gather(acc), den), order)
 
 
-def theta(spec: ThetaSpec, order) -> Series:
-    """Expand a (possibly argument-shifted) Jacobi theta below ``order``.
+def theta(j, m, order, qscale=1, zcoeff=1, tshift=0, cshift=0) -> Series:
+    """theta_{j,m}(qscale * tau, zcoeff * z + tshift * tau + cshift) below
+    ``order``.
 
     Built once per process for each set of arguments as given (equal
     numbers give equal keys), so a hit does no normalization."""
-    return _cached(("theta", *spec._fields(), order),
-                   lambda: _theta(spec.normalized(), rat(order)))
+    args = (j, m, qscale, zcoeff, tshift, cshift, order)
+    return _cached(("theta", *args), lambda: _theta(
+        *(x if type(x) is rat else rat(x) for x in args)))
 
 
-def _theta(spec, order) -> Series:
-    j, m, c1, a, b, c = spec._fields()
+def _theta(j, m, qscale, zcoeff, tshift, cshift, order) -> Series:
     if m <= 0:
         raise ValueError("theta degree must be positive")
-    if c1 <= 0:
+    if qscale <= 0:
         raise ValueError("theta q-scale must be positive")
     u0 = u1 = 0
-    if c:  # the phase of n = j/(2m) + k is e^{2 pi i m n c} = w^(4cj + 8mck)
-        u0, u1 = 4 * c * j, 8 * c * m
+    if cshift:  # n = j/(2m) + k has phase e^{2 pi i m n c} = w^(4cj + 8mck)
+        u0, u1 = 4 * cshift * j, 8 * cshift * m
         if u0.denominator != 1 or u1.denominator != 1:
             raise PhaseError(
                 f"phase outside Q(zeta_8): theta index {j}, degree {m}, "
-                f"constant shift {c}"
+                f"constant shift {cshift}"
             )
-    return _coset_sum(j / (2 * m), c1 * m, b * m if b else R0,
-                      a * m if a else R0, order, int(u0), int(u1))
-
-
-def theta_jm(j, m, order) -> Series:
-    """theta_{j,m}(tau, z) with unshifted arguments."""
-    return theta(ThetaSpec(j, m), order)
-
-
-def theta_zero_arg(j, m, order) -> Series:
-    """theta_{j,m}(tau, 0) -- the z-free theta constant."""
-    return theta(ThetaSpec(j, m, zcoeff=0), order)
+    return _coset_sum(j / (2 * m), qscale * m, tshift * m if tshift else R0,
+                      zcoeff * m if zcoeff else R0, order, int(u0), int(u1))
 
 
 def theta_pm(sign: int, j, m, order) -> Series:
@@ -202,10 +174,7 @@ def mumford(label: str, order, qscale=1, zcoeff=1, tshift=0, cshift=0) -> Series
         raise ValueError(f"unknown label {label!r}; expected 00, 01, 10 or 11")
     out = Series.zero(rat(order))
     for j, cf in _MUMFORD_PARTS[label]:
-        part = theta(
-            ThetaSpec(j, 2, qscale=qscale, zcoeff=zcoeff, tshift=tshift, cshift=cshift),
-            order,
-        )
+        part = theta(j, 2, order, qscale, zcoeff, tshift, cshift)
         if cf is not cyclo.ONE:
             part = part.times_monomial(cf)
         out = out + part
@@ -214,4 +183,4 @@ def mumford(label: str, order, qscale=1, zcoeff=1, tshift=0, cshift=0) -> Series
 
 def bracket(k, m, order) -> Series:
     """[theta_{k,m} - theta_{-k,m}](tau, z)."""
-    return theta_jm(k, m, order) - theta_jm(rat(k) * -1, m, order)
+    return theta(k, m, order) - theta(rat(k) * -1, m, order)

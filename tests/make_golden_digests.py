@@ -37,7 +37,7 @@ from thetaq.numerators import (
     u_basis,
 )
 from thetaq.series import Series
-from thetaq.thetalib import ThetaSpec, eta, mumford, theta, theta_jm, theta_pm
+from thetaq.thetalib import eta, mumford, theta, theta_pm
 
 from conftest import scale_args
 
@@ -86,7 +86,7 @@ def builds():
         for j in (rat(-1, 2), rat(1, 2)):
             add(f"theta_inv_half({j},{k})", series(lambda j=j, k=k: theta_inv_half(j, k)))
         add(f"theta_jm(0,1).inverse({k})",
-            series(lambda k=k: theta_jm(0, 1, k + 1).inverse(order=k)))
+            series(lambda k=k: theta(0, 1, k + 1).inverse(order=k)))
         add(f"mumford(01).inverse({k})",
             series(lambda k=k: mumford("01", k + 1).inverse(order=k)))
         add(f"theta_pm(-1,0,1).inverse({k})",
@@ -118,24 +118,23 @@ def builds():
 
     # exponent denominators outside the registry's
     add("theta(1,2,qscale=3/7,9)",
-        series(lambda: theta(ThetaSpec(1, 2, qscale=rat(3, 7)), 9)))
+        series(lambda: theta(1, 2, 9, qscale=rat(3, 7))))
     add("theta(1/2,1,zcoeff=1/3,9)",
-        series(lambda: theta(ThetaSpec(rat(1, 2), 1, zcoeff=rat(1, 3)), 9)))
+        series(lambda: theta(rat(1, 2), 1, 9, zcoeff=rat(1, 3))))
     add("theta(1,3,qscale=2/5,zcoeff=3/7,tshift=1/5,cshift=1/4,9)",
-        series(lambda: theta(ThetaSpec(1, 3, rat(2, 5), rat(3, 7), rat(1, 5),
-                                       rat(1, 4)), 9)))
+        series(lambda: theta(1, 3, 9, rat(2, 5), rat(3, 7), rat(1, 5), rat(1, 4))))
     add("numerator(7,1/2,6)", series(lambda: numerator(7, rat(1, 2), 6)))
     add("eta(2/5,-1,6)", series(lambda: eta(rat(2, 5), -1, 6)))
     add("theta(3/7)*theta_jm(1,1)+eta(1/5,1),6",
-        series(lambda: theta(ThetaSpec(1, 2, qscale=rat(3, 7)), 7)
-               * theta_jm(1, 1, 7) + eta(rat(1, 5), 1, 6)))
+        series(lambda: theta(1, 2, 7, qscale=rat(3, 7))
+               * theta(1, 1, 7) + eta(rat(1, 5), 1, 6)))
     add("numerator_half(2,0,6).scale_args(3/7,1/3)",
         series(lambda: scale_args(numerator_half(2, 0, 6), rat(3, 7), rat(1, 3))))
     add("decompose(theta(zcoeff=1/3) products)", lambda: decompose(
-        theta(ThetaSpec(0, 1, zcoeff=rat(1, 3)), 8)
+        theta(0, 1, 8, zcoeff=rat(1, 3))
         * eta(rat(1, 5), 1, 8).restrict(8),
-        [theta(ThetaSpec(0, 1, zcoeff=rat(1, 3)), 8),
-         theta(ThetaSpec(1, 1, zcoeff=rat(1, 3)), 8)], 6).json_obj())
+        [theta(0, 1, 8, zcoeff=rat(1, 3)),
+         theta(1, 1, 8, zcoeff=rat(1, 3))], 6).json_obj())
 
     rng = random.Random(20261018)
     for i in range(120):

@@ -3,14 +3,14 @@
     python3 tests/mutation_sweep.py
 
 Each mutant flips one binary ``+``/``-`` or drops one unary minus in
-``numerators.py`` or ``thetalib.py``, found with the stdlib ``ast`` and
-``tokenize`` modules.  Mutants run one at a time: each is written into a
-temporary copy of the package, and ``verify --all --format json --jobs 2``
-runs on that copy in a fresh process (its own process group, 2 GiB of
-address space, killed with its pool after 120 s).  A case kills a mutant
-when its status differs from the unmutated copy's.  One line is printed per
-mutant; the survivors (mutants no case kills) are listed at the end and
-written to ``tests/mutation_survivors.txt``.
+``numerators.py``, ``thetalib.py`` or ``cyclo.py``, found with the stdlib
+``ast`` and ``tokenize`` modules.  Mutants run one at a time: each is
+written into a temporary copy of the package, and ``verify --all --format
+json --jobs 2`` runs on that copy in a fresh process (its own process
+group, 2 GiB of address space, killed with its pool after 120 s).  A case
+kills a mutant when its status differs from the unmutated copy's.  One line
+is printed per mutant; the survivors (mutants no case kills) are listed at
+the end and written to ``tests/mutation_survivors.txt``.
 
 Nothing is written under ``src/``.  Not collected by pytest: a sweep runs
 ``verify --all`` once per mutant, and a mutant that loops or grows without
@@ -34,7 +34,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "thetaq"
-MODULES = ("numerators", "thetalib")
+MODULES = ("numerators", "thetalib", "cyclo")
 TIMEOUT = 120
 MEMORY_CAP = 2 << 30
 

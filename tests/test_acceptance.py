@@ -30,7 +30,7 @@ from thetaq.numerators import (
     undivided_half_combination,
 )
 from thetaq.series import Series
-from thetaq.thetalib import eta, mumford, theta_jm
+from thetaq.thetalib import eta, mumford, theta
 
 from conftest import assert_equal_series, eta_product, span_equal
 
@@ -61,8 +61,8 @@ def test_criterion2_coincidences_at_order8():
     for cid in ("S3.coincide.00", "S3.coincide.10"):
         r = run_identity(cid, rat(8))
         assert r.status == "pass", (cid, r.first_mismatch)
-    assert_equal_series(mumford("00", 8, qscale=2), theta_jm(0, 1, 8), 8)
-    assert_equal_series(mumford("10", 8, qscale=2), theta_jm(1, 1, 8), 8)
+    assert_equal_series(mumford("00", 8, qscale=2), theta(0, 1, 8), 8)
+    assert_equal_series(mumford("10", 8, qscale=2), theta(1, 1, 8), 8)
     _line(2, "PASS", "(both doubled-theta coincidences at order 8)")
 
 
@@ -71,8 +71,8 @@ def test_criterion3_branching_vs_eta_quotient_oracles():
     A = eta(1, 3, K) * eta(rat(1, 2), -1, K) * eta(2, -1, K)
     B = eta(rat(1, 2), 1, K) * eta(2, 1, K) * eta(1, -2, K)
     C = eta(1, 1, K) * eta(rat(1, 2), -1, K)
-    half = cyclo.from_rational(rat(1, 2))
-    mhalf = cyclo.from_rational(rat(-1, 2))
+    half = cyclo.CycloNum(rat(1, 2))
+    mhalf = cyclo.CycloNum(rat(-1, 2))
 
     def m(s, c):
         return s.times_monomial(c)

@@ -30,7 +30,7 @@ def test_phase_is_multiplicative():
     for r in eighths:
         for s in eighths:
             assert phase(r) * phase(s) == phase(r + s)
-        assert phase(r).scale(rat(1)) == phase(r)
+        assert CycloNum(rat(1)) * phase(r) == phase(r)
         p8 = cyclo.ONE
         for _ in range(8):
             p8 = p8 * phase(r)
@@ -78,6 +78,8 @@ def test_field_axioms(a, b, c):
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
     assert a + (-a) == cyclo.ZERO
+    assert a - b == a + (-b)
+    assert (a - b) + b == a
     if not a.is_zero():
         assert a * a.inverse() == cyclo.ONE
 
@@ -107,8 +109,8 @@ def test_unit_inverse_by_table_equals_norm_inverse(k, x):
 @settings(max_examples=80, deadline=None)
 @given(cyclos, cyclos, small_rat, st.integers(-8, 8))
 def test_components_stay_canonical(a, b, r, k):
-    results = [a, a + b, a - b, -a, a * b, a.scale(r),
-               cyclo.phase(rat(k, 8)), cyclo.from_rational(r)]
+    results = [a, a + b, a - b, -a, a * b, CycloNum(r) * a,
+               cyclo.phase(rat(k, 8)), CycloNum(r)]
     results += [a.conj_pow(j) for j in (1, 3, 5, 7)]
     if not a.is_zero():
         results.append(a.inverse())
@@ -117,7 +119,7 @@ def test_components_stay_canonical(a, b, r, k):
 
 
 monomial_coeffs = st.builds(
-    lambda r, k: phase(rat(k, 8)).scale(r),
+    lambda r, k: CycloNum(r) * phase(rat(k, 8)),
     st.sampled_from([rat(1), rat(-1), rat(2), rat(1, 2), rat(-1, 2),
                      rat(3, 4)]),
     st.integers(0, 7),
@@ -144,8 +146,8 @@ def test_int_and_fraction_components_are_one_value():
     assert str(mixed) == "3 - 1/2*w + 2*w^3"
     assert mixed.json_list() == ["3", "-1/2", "0", "2"]
     half = CycloNum(rat(1, 2))
-    assert half.scale(rat(2)) == cyclo.ONE
-    assert_canonical(half.scale(rat(2)))
+    assert CycloNum(rat(2)) * half == cyclo.ONE
+    assert_canonical(CycloNum(rat(2)) * half)
     assert_canonical(half + half)
 
 

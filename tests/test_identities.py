@@ -21,7 +21,7 @@ from thetaq.identities import (
     summarize,
 )
 from thetaq.series import Series
-from thetaq.thetalib import theta_jm
+from thetaq.thetalib import theta
 
 
 def test_registry_nonempty_and_sorted():
@@ -67,8 +67,8 @@ def test_run_identity_unknown():
 def test_injected_fault_reports_mismatch():
     # perturb one side by +q^3 and watch the report pinpoint it
     chk = equality_check(
-        lambda o: theta_jm(0, 1, o) + Series.monomial(cyclo.ONE, rat(3), rat(0)),
-        lambda o: theta_jm(0, 1, o),
+        lambda o: theta(0, 1, o) + Series.monomial(cyclo.ONE, rat(3), rat(0)),
+        lambda o: theta(0, 1, o),
     )
     assert chk(rat(6)) == (False, (3, 0))
 
@@ -80,9 +80,9 @@ def _equality_check_build_orders(gap):
 
     def short(o):
         built.append(o)
-        return theta_jm(0, 1, o + 1).restrict(o - gap)
+        return theta(0, 1, o + 1).restrict(o - gap)
 
-    res = equality_check(short, lambda o: theta_jm(0, 1, o))(rat(3))
+    res = equality_check(short, lambda o: theta(0, 1, o))(rat(3))
     assert res == (True, None)
     return built
 

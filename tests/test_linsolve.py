@@ -17,14 +17,14 @@ from thetaq.numerators import (
     u_basis,
 )
 from thetaq.series import InsufficientOrderError, Series, _series, align
-from thetaq.thetalib import ThetaSpec, bracket, eta, mumford, theta, theta_jm
+from thetaq.thetalib import bracket, eta, mumford, theta
 
 from conftest import assert_equal_series, span_equal
 
 
 def test_trivial_projection():
-    b1 = theta_jm(0, 1, 6)
-    b2 = theta_jm(1, 1, 6)
+    b1 = theta(0, 1, 6)
+    b2 = theta(1, 1, 6)
     dec = decompose(b1, [b1, b2], 4)
     assert dec.status == "exact"
     assert_equal_series(dec.coefficients[0], Series.one(dec.coefficients[0].cutoff),
@@ -35,10 +35,10 @@ def test_trivial_projection():
 def test_squares_note_coefficients():
     # the two-variable constants expanded as eta-quotient oracles
     K = rat(8)
-    target = theta_jm(0, 1, K) * theta_jm(0, 1, K)
+    target = theta(0, 1, K) * theta(0, 1, K)
     dec = decompose(target, [mumford("00", K), mumford("01", K)], 6)
     assert dec.status == "exact"
-    half = cyclo.from_rational(rat(1, 2))
+    half = CycloNum(rat(1, 2))
     a = eta(1, 2, K) * eta(rat(1, 2), -1, K) * eta(2, -1, K)
     b = eta(rat(1, 2), 1, K) * eta(1, -1, K)
     c0 = (eta(1, 1, K) * (a * a)).times_monomial(half)
@@ -63,7 +63,7 @@ def test_branching_coefficient_eta_quotient():
 
 
 def test_negative_membership_with_witness():
-    ok, wit = membership(theta_jm(0, 1, 6), [theta_jm(1, 1, 6)], 4)
+    ok, wit = membership(theta(0, 1, 6), [theta(1, 1, 6)], 4)
     assert not ok
     assert wit == (0, 0)
 
@@ -84,15 +84,15 @@ def test_span_equal_cases():
 
 def test_insufficient_order():
     with pytest.raises(InsufficientOrderError):
-        decompose(theta_jm(0, 1, 3), [theta_jm(0, 1, 3)], 4)
+        decompose(theta(0, 1, 3), [theta(0, 1, 3)], 4)
     with pytest.raises(ValueError):
-        decompose(theta_jm(0, 1, 3), [], 2)
+        decompose(theta(0, 1, 3), [], 2)
 
 
 def test_soundness_residual_always_checked():
     # a target one step outside the span: residual must carry the witness
-    target = theta_jm(0, 1, 6) + Series.monomial(cyclo.ONE, rat(3), rat(5))
-    dec = decompose(target, [theta_jm(0, 1, 6)], 4)
+    target = theta(0, 1, 6) + Series.monomial(cyclo.ONE, rat(3), rat(5))
+    dec = decompose(target, [theta(0, 1, 6)], 4)
     assert dec.status == "not-in-span"
     assert dec.witness == (3, 5)
     assert not dec.residual.is_zero_series()
@@ -102,7 +102,7 @@ def test_solution_invariance_under_permutation():
     # coefficients are pinned strictly below the certified order minus the
     # last unit (the top lattice step is only partially constrained)
     K = rat(8)
-    target = theta_jm(0, 1, K) * theta_jm(0, 1, K)
+    target = theta(0, 1, K) * theta(0, 1, K)
     basis = [mumford("00", K), mumford("01", K)]
     d1 = decompose(target, basis, 5)
     d2 = decompose(target, list(reversed(basis)), 5)
@@ -112,7 +112,7 @@ def test_solution_invariance_under_permutation():
 
 def test_scaling_equivariance():
     K = rat(8)
-    target = theta_jm(0, 1, K) * theta_jm(0, 1, K)
+    target = theta(0, 1, K) * theta(0, 1, K)
     basis = [mumford("00", K), mumford("01", K)]
     g = eta(1, 2, K)  # z-free unit
     d_plain = decompose(target, basis, 5)
@@ -123,7 +123,7 @@ def test_scaling_equivariance():
 
 
 def test_under_determined_flagged_for_duplicate_basis():
-    b = theta_jm(0, 1, 8)
+    b = theta(0, 1, 8)
     dec = decompose(b, [b, b], 4)
     assert dec.status == "under-determined"
     assert dec.residual.is_zero_series()
@@ -139,7 +139,7 @@ def test_theta12_times_even_bracket_escapes_level5_spans():
     # (only the symmetrized 10-combination does); this pins the parity
     # hypotheses of the closure checks
     K = rat(6)
-    target = theta_jm(1, 2, K) * ensure_order(lambda t: bracket(2, 3, t), K)
+    target = theta(1, 2, K) * ensure_order(lambda t: bracket(2, 3, t), K)
     fam = [
         ensure_order(lambda t: bracket(1, 5, t), K),
         ensure_order(lambda t: bracket(2, 5, t), K),
@@ -154,7 +154,7 @@ def test_theta12_times_even_bracket_escapes_level5_spans():
 
 
 def test_decomposition_json_shape():
-    dec = decompose(theta_jm(0, 1, 6), [theta_jm(0, 1, 6)], 4)
+    dec = decompose(theta(0, 1, 6), [theta(0, 1, 6)], 4)
     obj = dec.json_obj()
     assert obj["status"] == "exact"
     assert obj["certified_order"] == "4"
@@ -263,7 +263,7 @@ def test_supports_match_reference_on_random_bases(target, basis, order):
 def _theta_family(m, qscale, zcoeff, k):
     # theta_{j,m}, j = -m+1..m, have disjoint z-supports, so they are
     # independent over z-free series
-    return [theta(ThetaSpec(j, m, qscale=qscale, zcoeff=zcoeff), k)
+    return [theta(j, m, k, qscale=qscale, zcoeff=zcoeff)
             for j in range(-m + 1, m + 1)]
 
 
@@ -284,7 +284,7 @@ def zfree_combination(draw):
         for j in range(i + 1, len(thetas)):
             c = draw(st.integers(-2, 2))
             if c:
-                b = b + thetas[j].times_monomial(cyclo.from_rational(rat(c)))
+                b = b + thetas[j].times_monomial(CycloNum(rat(c)))
         basis.append(b)
     exps = st.builds(rat, st.integers(0, 8), st.sampled_from(MIXED_DENS))
     coeffs = []
@@ -550,13 +550,13 @@ def test_closed_pivots_skip_a_row_without_reducing_it(monkeypatch):
 def test_residual_lies_below_order_and_keeps_its_witness():
     order = rat(4)
     K = rat(8)
-    b = theta_jm(0, 1, K)
+    b = theta(0, 1, K)
     # g is z-free, so g * b lies in the span; its products straddle the order
     g = eta(1, 2, K)
     below = Series.monomial(cyclo.ONE, order - rat(1, 7), rat(1, 3))
     at_or_above = Series({(order, rat(1, 3)): cyclo.ONE,
                           (order + rat(1, 7), rat(1, 3)): cyclo.I})
-    outside = theta_jm(1, 1, K)
+    outside = theta(1, 1, K)
     for target in (g * b + outside + at_or_above, g * b + below + at_or_above):
         assert target.cutoff > order
         assert any(q >= order for q, _, _ in target.monomials())

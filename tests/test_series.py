@@ -9,14 +9,14 @@ from thetaq import cyclo
 from thetaq.cyclo import CycloNum
 from thetaq.series import (InsufficientOrderError, NonUnitLeadingError, Series,
                            _grid_bound)
-from thetaq.thetalib import eta, mumford, theta_jm
+from thetaq.thetalib import eta, mumford, theta
 
 from conftest import (assert_canonical, assert_equal_series, random_series,
                       scale_args)
 
 
 def S(pairs, cutoff=INF):
-    return Series({(rat(q), rat(z)): cyclo.from_rational(rat(c))
+    return Series({(rat(q), rat(z)): CycloNum(rat(c))
                    for q, z, c in pairs}, cutoff)
 
 
@@ -54,7 +54,7 @@ def test_mul_by_one_keeps_terms():
 def test_finite_cutoffs_are_fractions():
     # an int order must not turn j/(2m)-style arithmetic on cutoffs into floats
     cases = [
-        theta_jm(0, 1, 6).restrict(4).cutoff / 8,
+        theta(0, 1, 6).restrict(4).cutoff / 8,
         Series.zero(3).ord / 2,
         Series.one(2).cutoff / 4,
         Series.monomial(cyclo.ONE, 1, 0, 3).cutoff / 2,
@@ -92,7 +92,7 @@ def test_inverse_of_monomial():
 
 
 def test_inverse_cutoff_rule():
-    a = theta_jm(rat(-1, 2), 1, 4)  # ord 1/16, cutoff 4
+    a = theta(rat(-1, 2), 1, 4)  # ord 1/16, cutoff 4
     inv = a.inverse()
     assert inv.cutoff == 4 - rat(1, 8)
     assert_equal_series(a * inv, Series.one(), inv.cutoff + rat(1, 16))
@@ -204,7 +204,7 @@ def test_scaled_eta_leading_exponent():
 
 def test_is_zfree():
     assert eta(1, 1, 6).is_zfree()
-    assert not theta_jm(0, 1, 6).is_zfree()
+    assert not theta(0, 1, 6).is_zfree()
 
 
 def test_equal_up_to():
@@ -238,13 +238,13 @@ def test_ring_axioms_randomized(rng):
 
 def test_refinement_determinism():
     # recomputing with a larger cutoff reproduces all trusted terms
-    lo = theta_jm(0, 1, 5) * theta_jm(1, 1, 5) * eta(1, -1, 5)
-    hi = theta_jm(0, 1, 9) * theta_jm(1, 1, 9) * eta(1, -1, 9)
+    lo = theta(0, 1, 5) * theta(1, 1, 5) * eta(1, -1, 5)
+    hi = theta(0, 1, 9) * theta(1, 1, 9) * eta(1, -1, 9)
     assert_equal_series(lo, hi, lo.cutoff)
 
 
 def test_text_and_json_forms():
-    th = theta_jm(0, 1, 5)
+    th = theta(0, 1, 5)
     assert th.text() == ("1 + q^(1) * z^(-1) + q^(1) * z^(1) "
                          "+ q^(4) * z^(-2) + q^(4) * z^(2)")
     obj = th.json_obj()
@@ -295,7 +295,7 @@ def test_equal_series_hash_equal_across_denominators():
     whole = Series.monomial(cyclo.ONE, 1)
     assert third.den != whole.den
     assert third == whole and hash(third) == hash(whole)
-    s = theta_jm(1, 2, 6)
+    s = theta(1, 2, 6)
     back = scale_args(scale_args(s, rat(3, 7), 1), rat(7, 3), 1)
     assert back == s and hash(back) == hash(s)
     assert back.json_obj() == s.json_obj()

@@ -9,28 +9,25 @@ from thetaq import cyclo, thetalib
 from thetaq.cyclo import PhaseError, phase
 from thetaq.series import Series
 from thetaq.thetalib import (
-    ThetaSpec,
     _coset_sum,
     bracket,
     eta,
     mumford,
     theta,
-    theta_jm,
     theta_pm,
-    theta_zero_arg,
 )
 
 from conftest import assert_equal_series, coset_range, eta_product
 
 
 def test_theta_01_defining_sum():
-    t = theta_jm(0, 1, 5)
+    t = theta(0, 1, 5)
     assert t.text() == ("1 + q^(1) * z^(-1) + q^(1) * z^(1) "
                         "+ q^(4) * z^(-2) + q^(4) * z^(2)")
 
 
 def test_theta_11_defining_sum():
-    t = theta_jm(1, 1, 3)
+    t = theta(1, 1, 3)
     expect = {
         (rat(1, 4), rat(1, 2)): cyclo.ONE,
         (rat(1, 4), rat(-1, 2)): cyclo.ONE,
@@ -42,10 +39,10 @@ def test_theta_11_defining_sum():
 
 @pytest.mark.parametrize("j,m", [(0, 1), (1, 2), (rat(1, 2), 3), (rat(3, 2), 2)])
 def test_periodicity_and_reflection(j, m):
-    a = theta_jm(j, m, 6)
-    b = theta_jm(j + 2 * m, m, 6)
+    a = theta(j, m, 6)
+    b = theta(j + 2 * m, m, 6)
     assert a.terms == b.terms
-    refl = theta(ThetaSpec(-rat(j), m, zcoeff=-1), 6)
+    refl = theta(-rat(j), m, 6, zcoeff=-1)
     assert refl.terms == a.terms
 
 
@@ -54,12 +51,12 @@ def test_multiplication_law_grid():
         for m in (1, 2, 3):
             for j in (rat(0), rat(1, 2)):
                 for k in (rat(1), rat(3, 2)):
-                    lhs = theta_jm(j, n, 6) * theta_jm(k, m, 6)
+                    lhs = theta(j, n, 6) * theta(k, m, 6)
                     rhs = Series.zero(rat(6))
                     for r in range(m + n):
-                        c = theta_zero_arg(2 * m * n * r + k * n - j * m,
-                                           m * n * (m + n), 6)
-                        rhs = rhs + c * theta_jm(j + k + 2 * m * r, m + n, 6)
+                        c = theta(2 * m * n * r + k * n - j * m,
+                                  m * n * (m + n), 6, zcoeff=0)
+                        rhs = rhs + c * theta(j + k + 2 * m * r, m + n, 6)
                     o = min(rat(6), lhs.cutoff, rhs.cutoff)
                     assert_equal_series(lhs, rhs, o, f"n={n} m={m} j={j} k={k}")
 
@@ -67,7 +64,7 @@ def test_multiplication_law_grid():
 def test_theta_pm_plus_is_plain_projection():
     for j, m in ((0, 1), (1, 2), (rat(5, 2), 3)):
         tp = theta_pm(1, j, m, 6)
-        proj = theta_zero_arg(j, m, 6)
+        proj = theta(j, m, 6, zcoeff=0)
         assert tp.terms == proj.terms
 
 
@@ -81,12 +78,8 @@ def test_half_period_parity_split(m, p):
     # the tau-shifted half-period slice equals a q-power times the twisted
     # constant, with twist sign given by the parity of m
     idx = rat(m * (4 * p + 1), 2)
-    lhs = theta(
-        ThetaSpec(0, m + 1, zcoeff=0,
-                  tshift=rat(m * (4 * p + 1), 2 * (m + 1)),
-                  cshift=rat(-1, 2)),
-        6,
-    )
+    lhs = theta(0, m + 1, 6, zcoeff=0,
+                tshift=rat(m * (4 * p + 1), 2 * (m + 1)), cshift=rat(-1, 2))
     qpow = -rat(m * m, m + 1) * rat(4 * p + 1, 4) ** 2
     tw = theta_pm(1 if m % 2 else -1, idx, m + 1, 6 - qpow)
     rhs = tw.times_monomial(cyclo.ONE, qpow, rat(0))
@@ -128,7 +121,7 @@ def theta_triple_product(j, m, order):
 @pytest.mark.parametrize("j,m", [(0, 1), (rat(1, 2), 1), (rat(-1, 2), 1),
                                  (1, 2), (rat(-3, 2), 2), (2, 3)])
 def test_theta_jacobi_triple_product_oracle(j, m):
-    th = theta_jm(j, m, 24)
+    th = theta(j, m, 24)
     assert th.cutoff == 24
     assert_equal_series(th, theta_triple_product(j, m, 24), 24)
 
@@ -168,8 +161,8 @@ def test_mumford_constant_expansions():
 
 
 def test_mumford_doubling_coincidences():
-    assert_equal_series(mumford("00", 8, qscale=2), theta_jm(0, 1, 8), 8)
-    assert_equal_series(mumford("10", 8, qscale=2), theta_jm(1, 1, 8), 8)
+    assert_equal_series(mumford("00", 8, qscale=2), theta(0, 1, 8), 8)
+    assert_equal_series(mumford("10", 8, qscale=2), theta(1, 1, 8), 8)
 
 
 def test_mumford_label_validation():
@@ -179,24 +172,32 @@ def test_mumford_label_validation():
 
 def test_theta_phase_representability_guard():
     with pytest.raises(PhaseError):
-        theta(ThetaSpec(0, 1, cshift=rat(1, 3)), 4)
+        theta(0, 1, 4, cshift=rat(1, 3))
 
 
 def test_theta_rejects_bad_degree_and_scale():
     with pytest.raises(ValueError):
-        theta(ThetaSpec(0, -1), 4)
+        theta(0, -1, 4)
     with pytest.raises(ValueError):
-        theta(ThetaSpec(0, 1, qscale=0), 4)
+        theta(0, 1, 4, qscale=0)
 
 
 def test_theta_is_built_once_per_equal_arguments():
-    assert theta_jm(1, 2, 6) is theta_jm(rat(1), rat(2), rat(6))
+    assert theta(1, 2, 6) is theta(rat(1), rat(2), rat(6))
+    # a shift passed by keyword or by position is one key
+    assert theta(0, 1, 5, zcoeff=0) is theta(0, 1, 5, 1, 0)
+    # mumford's parts are the thetas of its arguments: no entry of their own
+    theta(1, 2, 5, qscale=2)
+    theta(-1, 2, 5, qscale=2)
+    size = len(thetalib._cache)
+    mumford("10", 5, qscale=2)
+    assert len(thetalib._cache) == size
 
 
 def test_theta_errors_leave_no_entry():
     size = len(thetalib._cache)
     with pytest.raises(ValueError):
-        theta(ThetaSpec(0, -1), 4)
+        theta(0, -1, 4)
     assert ("theta", 0, -1, 1, 1, 0, 0, 4) not in thetalib._cache
     assert len(thetalib._cache) == size
 
@@ -211,7 +212,7 @@ def test_bracket_antisymmetry():
 def test_shifted_theta_keeps_quadratic_bounded():
     # a large tau-shift against a small q-scale stays expandable: the
     # quadratic in the summation index still opens upward
-    t = theta(ThetaSpec(0, 1, qscale=rat(1, 4), tshift=3), 2)
+    t = theta(0, 1, 2, qscale=rat(1, 4), tshift=3)
     assert t.cutoff == 2
     assert all(q < 2 for q, _ in t.terms)
     assert t.ord < 0  # the shift pushes the minimum below zero
@@ -296,16 +297,16 @@ def _plain(x):
        _rat_over(0, 8))
 def test_memoized_theta_matches_a_fresh_build(j, m, qscale, zcoeff, tshift,
                                               cshift, order):
-    spec = ThetaSpec(rat(j), rat(m), qscale, zcoeff, tshift, rat(cshift))
+    j, m, shifts = rat(j), rat(m), (qscale, zcoeff, tshift, rat(cshift))
     try:
-        fresh = thetalib._theta(spec, order)
+        fresh = thetalib._theta(j, m, *shifts, order)
     except PhaseError:
         with pytest.raises(PhaseError):
-            theta(spec, order)
+            theta(j, m, order, *shifts)
         return
-    plain = ThetaSpec(*map(_plain, spec._fields()))
-    for s, k in ((spec, order), (plain, _plain(order)), (spec, order)):
-        assert theta(s, k).json_obj() == fresh.json_obj()
+    args = (j, m, order, *shifts)
+    for a in (args, tuple(map(_plain, args)), args):
+        assert theta(*a).json_obj() == fresh.json_obj()
 
 
 @settings(max_examples=60, deadline=None)
