@@ -55,9 +55,8 @@ class CycloNum:
 
     # -- predicates ------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        a = self.c
-        return not (a[0] or a[1] or a[2] or a[3])
+    def __bool__(self) -> bool:
+        return any(self.c)
 
     def is_rational(self) -> bool:
         a = self.c
@@ -117,7 +116,7 @@ class CycloNum:
 
     def _norm_inverse(self) -> CycloNum:
         """The inverse through the field norm, for any nonzero number."""
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta_8)")
         if self.is_rational():
             return CycloNum(R1 / self.c[0])
@@ -140,7 +139,7 @@ class CycloNum:
         return f"CycloNum{self.c}"
 
     def __str__(self) -> str:
-        if self.is_zero():
+        if not self:
             return "0"
         parts = []
         for i, (coef, sym) in enumerate(zip(self.c, ("", "w", "w^2", "w^3"))):

@@ -3,7 +3,8 @@
 This is the computational meaning of every span / membership / branching
 statement in the package: ``decompose`` searches for z-free series c_i with
 ``target = sum c_i * basis_i`` below a requested order, by exact Gaussian
-elimination over Q(zeta_8) on the monomial-matching linear system.
+elimination over Q(zeta_8) on the monomial-matching linear system, or over
+Q when the system is in real form (below).
 
 Unknown supports: for each basis element, candidate q-exponents start from
 all differences (target q-exponent) - (basis q-exponent) taken at matching
@@ -26,15 +27,29 @@ re-multiplication judges consistency).  Pivots, free columns and values are
 those of a full reduction.  The re-multiplication subtracts every
 coefficient times its basis element from the target in one accumulator
 below the order, term by term.
+
+Real form: when the target and every basis element are each one unit w^k
+times a series with rational coefficients (k fixed per series, 0 for a
+series without terms), the entries are the rational components c[k_i] and
+the right side c[k_t], so the elimination runs on ints (Fractions only
+under a pivot other than +-1).  This scales column i by the unit w^-k_i
+and the right side by w^-k_t, which moves no entry's zero pattern: the
+pivots, skipped rows and free columns are those of the Q(zeta_8) system,
+the unknown of column (i, e) is c_i * w^(k_i - k_t), and a solved value x
+maps back to x * w^(k_t - k_i).  Any other system keeps ``CycloNum``
+entries; both run the same loop.  The re-multiplication uses the original
+series either way.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from bisect import bisect_left
 
 from . import cyclo
 from ._rational import rat, rat_str
+from .cyclo import CycloNum
 from .series import (InsufficientOrderError, Series, _components, _convolve,
                      _gather, _series, align)
 
@@ -138,6 +153,39 @@ def _supports(target_row, basis_rows, hi, den):
     return [sorted(s) for s in sets]
 
 
+def _unit_index(row):
+    """k in 0..3 when every coefficient in ``row`` is a rational times w^k
+    (w^(k+4) = -w^k; 0 for a row without terms), else None."""
+    # one component nonzero in some term and every other zero in all
+    nonzero = [k for k, part in enumerate(zip(*(c.c for _, _, c in row)))
+               if any(part)]
+    if len(nonzero) > 1:
+        return None
+    return nonzero[0] if nonzero else 0
+
+
+# a pivot of 1 or -1 keeps or negates its row
+_UNIT_PIVOTS = {1: lambda v: v, -1: operator.neg}
+
+
+def _divider(p):
+    """The map v -> v / p over a pivot row, decided once per pivot: a
+    ``CycloNum`` through :func:`thetaq.cyclo.scaler`, a rational other than
+    +-1 in ``rat``, kept an int where it is one."""
+    if type(p) is CycloNum:
+        return cyclo.scaler(p.inverse())
+    return _UNIT_PIVOTS.get(p) or (lambda v: cyclo._canon(rat(v, p)))
+
+
+def _turned(x, d):
+    """The ``CycloNum`` x * w^d of a rational ``x``."""
+    if d % 8 >= 4:  # w^4 = -1
+        x = -x
+    c = [0, 0, 0, 0]
+    c[d % 4] = x
+    return CycloNum._raw(*c)
+
+
 def decompose(target: Series, basis: list[Series], order) -> Decomposition:
     """Express ``target`` over ``basis`` with z-free series coefficients.
 
@@ -163,6 +211,12 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
             )
 
     den, hi, grid = align([target] + basis, order)
+    # in real form the entries are the rational components (module doc)
+    ks = [_unit_index(row) for row in grid]
+    real = None not in ks
+    if real:
+        grid = [[(q, z, c.c[k]) for q, z, c in row]
+                for row, k in zip(grid, ks)]
     brows = grid[1:]
     supports = _supports(grid[0], brows, hi, den)
     cols = [(i, e) for i, es in enumerate(supports) for e in es]
@@ -214,18 +268,18 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
                     row[cc] = -p
                     if cc in pivots:
                         heapq.heappush(todo, cc)
-                elif (s := cur - p).is_zero():
+                elif not (s := cur - p):
                     del row[cc]
                 else:
                     row[cc] = s
             if prv is not None:
                 rv = -(factor * prv) if rv is None else rv - factor * prv
-                if rv.is_zero():
+                if not rv:
                     rv = None
         if not row:
             continue  # consistency judged by the final re-multiplication
         pc = min(row)
-        scale = cyclo.scaler(row[pc].inverse())
+        scale = _divider(row[pc])
         row = {c: scale(v) for c, v in row.items()}
         if rv is not None:
             rv = scale(rv)
@@ -256,7 +310,7 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
                 continue
             p = coeff * v
             acc = -p if acc is None else acc - p
-        if acc is not None and not acc.is_zero():
+        if acc:
             values[c] = acc
 
     coeffs = []
@@ -265,7 +319,7 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
         for e in supports[i]:
             v = values.get(col_index[(i, e)])
             if v is not None:
-                terms[(e, 0)] = v
+                terms[(e, 0)] = _turned(v, ks[0] - ks[i + 1]) if real else v
         coeffs.append(_series(terms, den, order - b.ord))
 
     certified = min([order, target.cutoff] + [

@@ -196,7 +196,7 @@ class Series:
         terms = {
             k: v
             for k, v in (terms or {}).items()
-            if k[0] < cutoff and not v.is_zero()
+            if k[0] < cutoff and v
         }
         den = lcm(*{x.denominator for k in terms for x in k})
         self._t = {
@@ -216,7 +216,7 @@ class Series:
 
     @staticmethod
     def monomial(coeff: CycloNum, qexp=R0, zexp=R0, cutoff=INF) -> Series:
-        if coeff.is_zero() or qexp >= cutoff:
+        if not coeff or qexp >= cutoff:
             return Series.zero(cutoff)
         return Series({(rat(qexp), rat(zexp)): coeff}, cutoff)
 
@@ -293,7 +293,7 @@ class Series:
                 continue
             cur = out.get(k)
             s = v if cur is None else cur + v
-            if s.is_zero():
+            if not s:
                 out.pop(k, None)
             else:
                 out[k] = s
@@ -329,7 +329,7 @@ class Series:
     def times_monomial(self, coeff: CycloNum, dq=R0, dz=R0) -> Series:
         """Multiply by an exact monomial (shifts exponents, scales trust);
         the terms share one :func:`thetaq.cyclo.scaler`."""
-        if coeff.is_zero():
+        if not coeff:
             return Series.zero(INF)
         dq = rat(dq)
         dz = rat(dz)

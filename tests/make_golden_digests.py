@@ -59,7 +59,7 @@ def _random_series(rng, nterms, cutoff):
             rat(rng.randint(-3, 3), rng.choice(DENOMINATORS)))
     terms[lead] = CycloNum(*(rat(rng.randint(-3, 3), rng.randint(1, 3))
                              for _ in range(4)))
-    if terms[lead].is_zero():
+    if not terms[lead]:
         terms[lead] = cyclo.ONE
     for _ in range(nterms):
         q = lead[0] + rat(rng.randint(1, 2 * qden), qden)

@@ -3,11 +3,12 @@
     python3 tests/mutation_sweep.py
 
 Each mutant flips one binary ``+``/``-`` or drops one unary minus in
-``numerators.py``, ``thetalib.py`` or ``cyclo.py``, found with the stdlib
-``ast`` and ``tokenize`` modules.  Mutants run one at a time: each is
-written into a temporary copy of the package, and ``verify --all --format
-json --jobs 2`` runs on that copy in a fresh process (its own process
-group, 2 GiB of address space, killed with its pool after 120 s).  A case
+``numerators.py``, ``thetalib.py``, ``cyclo.py`` or ``linsolve.py``, found
+with the stdlib ``ast`` and ``tokenize`` modules.  Mutants run one at a
+time: each is written into a temporary copy of the package, and ``verify
+--all --format json --jobs 2`` runs on that copy in a fresh process (its
+own process group, 2 GiB of address space, killed with its pool after
+120 s).  A case
 kills a mutant when its status differs from the unmutated copy's.  One line
 is printed per mutant; the survivors (mutants no case kills) are listed at
 the end and written to ``tests/mutation_survivors.txt``.
@@ -34,7 +35,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "thetaq"
-MODULES = ("numerators", "thetalib", "cyclo")
+MODULES = ("numerators", "thetalib", "cyclo", "linsolve")
 TIMEOUT = 120
 MEMORY_CAP = 2 << 30
 

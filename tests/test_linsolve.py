@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from thetaq._rational import INF, rat
 from thetaq import cyclo
-from thetaq.cyclo import CycloNum
+from thetaq.cyclo import CycloNum, phase
 from thetaq.linsolve import Decomposition, _supports, decompose, membership
 from thetaq.numerators import (
     SUPPORTED_CHARACTERS,
@@ -372,13 +372,13 @@ def reference_decompose(target, basis, order):
                     row[cc] = -p
                     if cc in pivots:
                         heapq.heappush(todo, cc)
-                elif (s := cur - p).is_zero():
+                elif not (s := cur - p):
                     del row[cc]
                 else:
                     row[cc] = s
             if prv is not None:
                 rv = -(factor * prv) if rv is None else rv - factor * prv
-                if rv.is_zero():
+                if not rv:
                     rv = None
         if not row:
             continue
@@ -400,7 +400,7 @@ def reference_decompose(target, basis, order):
                 continue
             p = coeff * v
             acc = -p if acc is None else acc - p
-        if acc is not None and not acc.is_zero():
+        if acc is not None and acc:
             values[c] = acc
 
     coeffs = []
@@ -451,30 +451,50 @@ def outcome(solver, target, basis, order):
 fraction_coeffs = st.one_of(small_coeffs, st.builds(
     lambda a, b, c: CycloNum(rat(a, 3), 0, rat(b, c), 0),
     st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 5)))
-# q-denominators whose lcm stays small, so that windows stay small; the
-# reference cannot take an exactly known basis element without terms (its
-# product with a zero coefficient has a NaN cutoff)
+# q-denominators whose lcm stays small, so that windows stay small
 SYSTEM_DENS = (1, 2, 3)
-basis_elements = sparse_series(fraction_coeffs, SYSTEM_DENS).filter(
-    lambda b: not b.is_zero_series())
+# rationals, most of them not units, so that rational pivots need dividing
+rational_coeffs = st.builds(lambda n, d: CycloNum(rat(n, d)),
+                            st.integers(-3, 3).filter(bool), st.integers(1, 3))
 
 
 @st.composite
 def sparse_system(draw):
     """(target, basis): nonempty sparse basis elements, some repeated
     (under-determined), and a target that is either random (mostly outside
-    the span) or a z-free combination of the basis, perturbed or not."""
-    basis = draw(st.lists(basis_elements, min_size=1, max_size=4))
+    the span) or a z-free combination of the basis, perturbed or not.
+
+    In about half the draws every series is one unit w^k (k drawn per series
+    in 0..7) times rational coefficients, the real form that ``decompose``
+    eliminates in rationals; the target may be empty.  As w^(k+4) = -w^k,
+    ``decompose`` reads k mod 4, so its offsets k_t - k_i run over -3..3.
+    The reference cannot take an exactly known basis element without terms
+    (its product with a zero coefficient has a NaN cutoff)."""
+    real = draw(st.booleans())
+    coeffs = rational_coeffs if real else fraction_coeffs
+    turns = st.integers(0, 7) if real else st.just(0)
+
+    def turned(series, k):
+        return series.times_monomial(phase(rat(k, 8)))
+
+    elements = sparse_series(coeffs, SYSTEM_DENS).filter(
+        lambda b: not b.is_zero_series())
+    ks = draw(st.lists(turns, min_size=1, max_size=4))
+    basis = [turned(draw(elements), k) for k in ks]
     if draw(st.booleans()):
-        basis.append(basis[draw(st.integers(0, len(basis) - 1))])
+        i = draw(st.integers(0, len(basis) - 1))
+        basis.append(basis[i])
+        ks.append(ks[i])
+    kt = draw(turns)
     if draw(st.booleans()):
-        return draw(sparse_series(fraction_coeffs, SYSTEM_DENS)), basis
+        return turned(draw(sparse_series(coeffs, SYSTEM_DENS)), kt), basis
     exps = st.builds(rat, st.integers(0, 4), st.sampled_from(SYSTEM_DENS))
-    target = draw(st.one_of(st.just(Series.zero()),
-                            sparse_series(fraction_coeffs, SYSTEM_DENS)))
-    for b in basis:
-        terms = draw(st.dictionaries(exps, fraction_coeffs, max_size=3))
-        target = target + Series({(q, rat(0)): c for q, c in terms.items()}) * b
+    target = turned(draw(st.one_of(st.just(Series.zero()),
+                                   sparse_series(coeffs, SYSTEM_DENS))), kt)
+    for b, k in zip(basis, ks):
+        terms = draw(st.dictionaries(exps, coeffs, max_size=3))
+        coeff = Series({(q, rat(0)): c for q, c in terms.items()})
+        target = target + turned(coeff, kt - k) * b
     return target, basis
 
 
@@ -489,7 +509,14 @@ def test_decompose_matches_reference_on_random_systems(system, order):
 
 
 @pytest.mark.parametrize("order", [6, 12, 14])
-def test_decompose_matches_reference_on_branch_bases(order):
+def test_decompose_matches_reference_on_branch_bases(monkeypatch, order):
+    muls = []
+    mul = CycloNum.__mul__
+
+    def counted(a, b):
+        muls.append(1)
+        return mul(a, b)
+
     k = rat(order) + rat(1, 2)
     checked = 0
     for left in SUPPORTED_CHARACTERS:
@@ -499,7 +526,12 @@ def test_decompose_matches_reference_on_branch_bases(order):
                 continue
             target = character(*left, k) * character(*right, k)
             basis = [character(*lbl, k) for lbl in labels]
-            got = decompose(target, basis, order)
+            with monkeypatch.context() as m:
+                m.setattr(CycloNum, "__mul__", counted)
+                got = decompose(target, basis, order)
+            # every series is a unit times a rational series: the system
+            # is eliminated in rationals, with no product in Q(zeta_8)
+            assert not muls
             assert got.json_obj() == reference_decompose(
                 target, basis, order).json_obj()
             assert got.status == "exact"
@@ -517,34 +549,40 @@ def test_closed_pivots_skip_a_row_without_reducing_it(monkeypatch):
     # columns A = (0, 0) < B = (1, 0).  Row z^0: {A: 2, B: 1} pivots on A
     # while B is open; row z^1: {A: 1} reduces to {B: -1/2}, so B becomes a
     # pivot only later, and closed at once, which closes A; row z^2:
-    # {A: 1, B: 3} then holds only closed pivots and is skipped
-    muls = []
-    mul = CycloNum.__mul__
+    # {A: 1, B: 3} then holds only closed pivots and is skipped.  The first
+    # basis element is taken times 1, which keeps the system in real form
+    # (int entries), and times 1 + w, which takes it out; the zero pattern
+    # is the same
+    reduced = []
+    heapify = heapq.heapify
 
-    def counted(a, b):
-        muls.append(1)
-        return mul(a, b)
+    def counted(todo):  # called once for each row that enters reduction
+        reduced.append(1)
+        heapify(todo)
 
-    monkeypatch.setattr(CycloNum, "__mul__", counted)
+    monkeypatch.setattr(heapq, "heapify", counted)
 
-    def count(solver, target, basis):
-        muls.clear()
-        dec = solver(target, basis, 1)
-        return len(muls), dec
+    def count(solver, scale, target, basis):
+        reduced.clear()
+        dec = solver(target, [basis[0].times_monomial(scale)] + basis[1:], 1)
+        return len(reduced), dec
 
     three = (_poly([3, 1, 4]), [_poly([2, 1, 1]), _poly([1, 0, 3])])
     two = (_poly([3, 1]), [_poly([2, 1]), _poly([1])])
-    n3, dec = count(decompose, *three)
-    n2, _ = count(decompose, *two)
-    ref3, ref = count(reference_decompose, *three)
-    ref2, _ = count(reference_decompose, *two)
-    assert dec.json_obj() == ref.json_obj()
-    assert dec.status == "exact"
-    assert [c.json_obj()["terms"] for c in dec.coefficients] == [
-        [["0", "0", ["1", "0", "0", "0"]]]] * 2
-    # the third row costs the reference multiplications and costs none here
-    assert ref3 > ref2
-    assert n3 == n2
+    for scale in (cyclo.ONE, CycloNum(1, 1)):
+        n3, dec = count(decompose, scale, *three)
+        n2, _ = count(decompose, scale, *two)
+        ref3, ref = count(reference_decompose, scale, *three)
+        ref2, _ = count(reference_decompose, scale, *two)
+        assert dec.json_obj() == ref.json_obj()
+        assert dec.status == "exact"
+        c0, c1 = dec.coefficients
+        assert [c.json_obj()["terms"]
+                for c in (c0.times_monomial(scale), c1)] == [
+            [["0", "0", ["1", "0", "0", "0"]]]] * 2
+        # the reference reduces the third row; here it is skipped
+        assert (ref3, ref2) == (3, 2)
+        assert n3 == n2 == 2
 
 
 def test_residual_lies_below_order_and_keeps_its_witness():

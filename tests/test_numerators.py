@@ -366,7 +366,7 @@ def reference_triple_sum_weights(m, alpha, bound):
         slot = acc[k]
         cur = slot.get(ex)
         s = coeff if cur is None else cur + coeff
-        if s.is_zero():
+        if not s:
             slot.pop(ex, None)
         else:
             slot[ex] = s

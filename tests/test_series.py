@@ -120,7 +120,7 @@ def truncated_product(a, b, bound):
             k = (qa + qb, za + zb)
             if k[0] < bound:
                 out[k] = out[k] + ca * cb if k in out else ca * cb
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return {k: v for k, v in out.items() if v}
 
 
 def geometric_inverse(s, order=None):
@@ -145,7 +145,7 @@ def geometric_inverse(s, order=None):
         for k, v in power.items():
             acc[k] = acc[k] + v if k in acc else v
     terms = {(q - qa, z - za): inv_lead * v for (q, z), v in acc.items()
-             if not v.is_zero()}
+             if v}
     return terms, target
 
 
@@ -279,7 +279,7 @@ def fraction_sum(a, b):
         for k, v in terms.items():
             if k[0] < cut:
                 out[k] = out[k] + v if k in out else v
-    return {k: v for k, v in out.items() if not v.is_zero()}, cut
+    return {k: v for k, v in out.items() if v}, cut
 
 
 def fraction_product(a, b):
@@ -401,7 +401,7 @@ def form_series(draw):
 
 def assert_kernel_form(s):
     for c in s.terms.values():
-        assert not c.is_zero()
+        assert c
         assert_canonical(c)
 
 

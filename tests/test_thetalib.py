@@ -252,7 +252,7 @@ def reference_coset_sum(n0, aa, bb, order, term):
         key = (qexp, zexp)
         cur = terms.get(key)
         s = coeff if cur is None else cur + coeff
-        if s.is_zero():
+        if not s:
             terms.pop(key, None)
         else:
             terms[key] = s
