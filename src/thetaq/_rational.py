@@ -3,11 +3,12 @@
 Inside a :class:`thetaq.series.Series` the exponents are ints over one
 per-series denominator; every exponent that crosses the package's API (an
 argument, ``ord``, a cutoff, a witness, a printed term) is a
-``fractions.Fraction`` built through :func:`rat`.  A coefficient component
-(see :mod:`thetaq.cyclo`) is a Python ``int`` when integral and a
-``Fraction`` otherwise.  ``rat`` itself always returns a ``Fraction``, so an
-expression such as ``j / (2*m)`` stays exact.  ``BACKEND`` names the
-rational type; the CLI's JSON report and the benchmark record it.
+``fractions.Fraction`` built through :func:`rat`.  A coefficient component,
+stored in a series' component dicts or in a :class:`thetaq.cyclo.CycloNum`,
+is a Python ``int`` when integral and a ``Fraction`` otherwise.  ``rat``
+itself always returns a ``Fraction``, so an expression such as
+``j / (2*m)`` stays exact.  ``BACKEND`` names the rational type; the CLI's
+JSON report and the benchmark record it.
 """
 
 from __future__ import annotations

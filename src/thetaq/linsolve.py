@@ -28,17 +28,19 @@ those of a full reduction.  The re-multiplication subtracts every
 coefficient times its basis element from the target in one accumulator
 below the order, term by term.
 
-Real form: when the target and every basis element are each one unit w^k
-times a series with rational coefficients (k fixed per series, 0 for a
-series without terms), the entries are the rational components c[k_i] and
-the right side c[k_t], so the elimination runs on ints (Fractions only
-under a pivot other than +-1).  This scales column i by the unit w^-k_i
-and the right side by w^-k_t, which moves no entry's zero pattern: the
-pivots, skipped rows and free columns are those of the Q(zeta_8) system,
-the unknown of column (i, e) is c_i * w^(k_i - k_t), and a solved value x
-maps back to x * w^(k_t - k_i).  Any other system keeps ``CycloNum``
-entries; both run the same loop.  The re-multiplication uses the original
-series either way.
+Real form: when the target and every basis element each store at most one
+nonempty component dict (see :mod:`thetaq.series`), each is one unit w^k
+times a series with rational coefficients (k its component, 0 for a
+series without terms).  The entries are then read from that one dict, the
+rational components c[k_i] and the right side c[k_t], so the elimination
+runs on ints (Fractions only under a pivot other than +-1).  This scales
+column i by the unit w^-k_i and the right side by w^-k_t, which moves no
+entry's zero pattern: the pivots, skipped rows and free columns are those
+of the Q(zeta_8) system, the unknown of column (i, e) is
+c_i * w^(k_i - k_t), and a solved value x maps back to x * w^(k_t - k_i).
+Any other system keeps ``CycloNum`` entries (:func:`thetaq.series.align`);
+both run the same loop.  The re-multiplication uses the original series
+either way.
 """
 
 from __future__ import annotations
@@ -46,12 +48,12 @@ from __future__ import annotations
 import heapq
 import operator
 from bisect import bisect_left
+from math import lcm
 
-from . import cyclo
 from ._rational import rat, rat_str
-from .cyclo import CycloNum
-from .series import (InsufficientOrderError, Series, _components, _convolve,
-                     _gather, _series, align)
+from .cyclo import CycloNum, _canon
+from .series import (InsufficientOrderError, Series, _convolve, _gather,
+                     _grid_bound, _series, align)
 
 
 class Decomposition:
@@ -153,37 +155,17 @@ def _supports(target_row, basis_rows, hi, den):
     return [sorted(s) for s in sets]
 
 
-def _unit_index(row):
-    """k in 0..3 when every coefficient in ``row`` is a rational times w^k
-    (w^(k+4) = -w^k; 0 for a row without terms), else None."""
-    # one component nonzero in some term and every other zero in all
-    nonzero = [k for k, part in enumerate(zip(*(c.c for _, _, c in row)))
-               if any(part)]
-    if len(nonzero) > 1:
-        return None
-    return nonzero[0] if nonzero else 0
-
-
 # a pivot of 1 or -1 keeps or negates its row
 _UNIT_PIVOTS = {1: lambda v: v, -1: operator.neg}
 
 
 def _divider(p):
     """The map v -> v / p over a pivot row, decided once per pivot: a
-    ``CycloNum`` through :func:`thetaq.cyclo.scaler`, a rational other than
-    +-1 in ``rat``, kept an int where it is one."""
+    ``CycloNum`` times its inverse, a rational other than +-1 in ``rat``,
+    kept an int where it is one."""
     if type(p) is CycloNum:
-        return cyclo.scaler(p.inverse())
-    return _UNIT_PIVOTS.get(p) or (lambda v: cyclo._canon(rat(v, p)))
-
-
-def _turned(x, d):
-    """The ``CycloNum`` x * w^d of a rational ``x``."""
-    if d % 8 >= 4:  # w^4 = -1
-        x = -x
-    c = [0, 0, 0, 0]
-    c[d % 4] = x
-    return CycloNum._raw(*c)
+        return p.inverse().__mul__
+    return _UNIT_PIVOTS.get(p) or (lambda v: _canon(rat(v, p)))
 
 
 def decompose(target: Series, basis: list[Series], order) -> Decomposition:
@@ -210,13 +192,17 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
                 max_order=b.cutoff,
             )
 
-    den, hi, grid = align([target] + basis, order)
+    series = [target] + basis
     # in real form the entries are the rational components (module doc)
-    ks = [_unit_index(row) for row in grid]
-    real = None not in ks
+    ks = [[k for k, d in enumerate(s._comps) if d] for s in series]
+    real = all(len(k) <= 1 for k in ks)
     if real:
-        grid = [[(q, z, c.c[k]) for q, z, c in row]
-                for row, k in zip(grid, ks)]
+        ks = [k[0] if k else 0 for k in ks]
+        den = lcm(*(s.den for s in series))
+        hi = _grid_bound(order, den)
+        grid = [s._lists_at(den)[k] for s, k in zip(series, ks)]
+    else:
+        den, hi, grid = align(series, order)
     brows = grid[1:]
     supports = _supports(grid[0], brows, hi, den)
     cols = [(i, e) for i, es in enumerate(supports) for e in es]
@@ -315,12 +301,19 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
 
     coeffs = []
     for i, b in enumerate(basis):
-        terms = {}
+        comps = ({}, {}, {}, {})
         for e in supports[i]:
             v = values.get(col_index[(i, e)])
-            if v is not None:
-                terms[(e, 0)] = _turned(v, ks[0] - ks[i + 1]) if real else v
-        coeffs.append(_series(terms, den, order - b.ord))
+            if v is None:
+                continue
+            if real:  # v * w^(k_t - k_i), and w^4 = -1
+                d = (ks[0] - ks[i + 1]) % 8
+                comps[d % 4][(e, 0)] = _canon(-v if d >= 4 else v)
+            else:
+                for part, c in zip(comps, v.c):
+                    if c:
+                        part[(e, 0)] = c
+        coeffs.append(_series(comps, den, order - b.ord))
 
     certified = min([order, target.cutoff] + [
         b.cutoff + c.ord for b, c in zip(basis, coeffs) if not c.is_zero_series()
@@ -335,11 +328,10 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
     # re-multiply in full: the target's terms minus each coefficient times
     # its basis element's, accumulated per component below hi
     acc = ({}, {}, {}, {})
-    for t, part in zip(acc, _components(target._items_at(den))):
-        t.update(((q, z), c) for q, z, c in part if q < hi)
+    for t, d in zip(acc, target._at(den)):
+        t.update((k, c) for k, c in d.items() if k[0] < hi)
     for c, b in zip(coeffs, basis):
-        _convolve(acc, _components(c._items()),
-                  _components(b._items_at(den)), hi, negate=True)
+        _convolve(acc, c._lists(), b._lists_at(den), hi, negate=True)
     residual = _series(_gather(acc), den, order)
 
     # free columns within one whole q-unit of the window top are truncation

@@ -6,6 +6,16 @@ exponents and Q(zeta_8) coefficients, together with ``cutoff``: the
 exclusive q-exponent bound below which the stored terms are certified to
 agree with the (usually infinite) series being represented.
 
+A coefficient c0 + c1*w + c2*w^2 + c3*w^3 (see :mod:`thetaq.cyclo`) is
+stored by component: a series holds four dicts ``(d0, d1, d2, d3)``, dict
+i mapping each key to the nonzero rational c_i of w^i there.  A stored
+value is never zero and always canonical: an ``int`` when integral, a
+``Fraction`` otherwise.  Every series the registry and ``branch`` build
+is a unit w^k times a series with rational coefficients, so one dict
+holds all its terms.  ``CycloNum``s are built only at the API edge: ``terms``,
+:meth:`Series.monomials`, ``text``, ``json_obj``, :func:`align` and the
+inverse's leading coefficient.
+
 Exponents are stored as integers over one per-series denominator ``den``:
 the key ``(q, z)`` stands for ``q^(q/den) * z^(z/den)``.  Every kernel
 (sums, products, inverses, restriction, comparison) works on these ints;
@@ -21,12 +31,14 @@ Cutoffs propagate pessimistically:
 * product:  min(a.cutoff + ord(b), b.cutoff + ord(a));
 * inverse:  cutoff - 2*ord.
 
-Products are truncated convolutions.  Inverses use the reciprocal
-recurrence over q-layers in one pass (Brent & Kung, "Fast algorithms for
-manipulating formal power series", J. ACM 25, 1978), not a sum of powers.
-These and the generators sum each Q(zeta_8) component as plain ints (or
-Fractions) in four accumulators, and :func:`_gather` builds one
-coefficient per output term.
+Products are truncated convolutions of the component dicts in four
+accumulators (:func:`_convolve`); a product by one monomial
+(``times_monomial``, the inverse's scalings) is the same convolution with
+a one-term factor.  Inverses use the reciprocal recurrence over q-layers
+in one pass (Brent & Kung, "Fast algorithms for manipulating formal power
+series", J. ACM 25, 1978), not a sum of powers.  The generators sum their
+eighth turns into the same accumulators (:func:`_add_turn`), and
+:func:`_gather` turns accumulators into the dicts of a series.
 
 ``ord`` here means the smallest stored q-exponent, or the cutoff itself for
 a series with no stored terms (all that is known of such a series is that
@@ -39,12 +51,11 @@ series compare and hash equal whatever their ``den``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from math import gcd, lcm
 
 from . import cyclo
 from ._rational import INF, R0, rat, rat_str
-from .cyclo import CycloNum
+from .cyclo import CycloNum, _canon
 
 
 class InsufficientOrderError(ValueError):
@@ -75,34 +86,26 @@ def _cut(x):
     return x if type(x) is rat or x == INF else rat(x)
 
 
-def _reduced(t, den):
-    """``(t, den)`` over the smallest denominator that keeps keys integral."""
-    g = gcd(den, *(x for k in t for x in k))
+def _reduced(comps, den):
+    """``(comps, den)`` over the smallest denominator that keeps keys
+    integral."""
+    g = gcd(den, *(x for d in comps for k in d for x in k))
     if g == 1:
-        return t, den
-    return {(q // g, z // g): v for (q, z), v in t.items()}, den // g
+        return comps, den
+    return tuple({(q // g, z // g): v for (q, z), v in d.items()}
+                 for d in comps), den // g
 
 
-def _series(t, den, cutoff) -> Series:
-    """A Series from int-keyed terms over ``den`` (trusted: no zero
-    coefficients, every q-exponent below the cutoff)."""
+def _series(comps, den, cutoff) -> Series:
+    """A Series from its four int-keyed component dicts over ``den``
+    (trusted: canonical nonzero values, every q-exponent below the
+    cutoff)."""
     s = Series.__new__(Series)
-    s._t = t
+    s._comps = comps
     s.den = den
     s.cutoff = cutoff
     s._sorted = None
     return s
-
-
-def _components(items):
-    """Sorted terms ``((q, z), coeff)`` as four lists of ``(q, z, c_i)``,
-    one per component: list i holds the nonzero coefficients of w^i."""
-    parts = ([], [], [], [])
-    for (q, z), v in items:
-        for part, c in zip(parts, v.c):
-            if c:
-                part.append((q, z, c))
-    return parts
 
 
 def _add_turn(acc, key, u):
@@ -113,23 +116,22 @@ def _add_turn(acc, key, u):
 
 
 def _gather(acc):
-    """One coefficient per key from four dicts ``{key: c_i}``, the
-    accumulated components of w^0..w^3; zero coefficients dropped."""
-    t0, t1, t2, t3 = acc
-    if not (t1 or t2 or t3):
-        return {k: CycloNum._raw(c, 0, 0, 0) for k, c in t0.items() if c}
-    out = {}
-    for k in t0.keys() | t1.keys() | t2.keys() | t3.keys():
-        c = (t0.get(k, 0), t1.get(k, 0), t2.get(k, 0), t3.get(k, 0))
-        if any(c):
-            out[k] = CycloNum._raw(*c)
-    return out
+    """The component dicts of a series from the four accumulators ``acc``:
+    zeros dropped, integral Fractions turned into ints."""
+    return tuple({k: c if type(c) is int else _canon(c)
+                  for k, c in t.items() if c} for t in acc)
+
+
+def _one_term(coeff, q, z):
+    """The component lists of the monomial ``coeff * q^q z^z``."""
+    return tuple([(q, z, c)] if c else [] for c in coeff.c)
 
 
 def _convolve(acc, xs, ys, hi, negate=False):
-    """Add the product of two component splits (:func:`_components`) into
-    the four accumulators ``acc``, keeping q-exponents below ``hi``;
-    subtract it instead when ``negate``.  ``ys`` must ascend in q."""
+    """Add the product of two series, given as four component lists of
+    ``(q, z, c)`` each, into the four accumulators ``acc``, keeping
+    q-exponents below ``hi``; subtract it instead when ``negate``.  Each
+    list of ``ys`` must ascend in q."""
     for i, xl in enumerate(xs):
         if not xl:
             continue
@@ -159,37 +161,15 @@ def align(series_list, order):
     ``q/den`` and ``z/den``, ascending.
     """
     den = lcm(*(s.den for s in series_list))
-    rows = [[(q, z, c) for (q, z), c in s._items_at(den)] for s in series_list]
+    rows = []
+    for s in series_list:
+        f = den // s.den
+        rows.append([(q * f, z * f, c) for (q, z), c in s._coeffs()])
     return den, _grid_bound(order, den), rows
 
 
-class _FractionTerms(Mapping):
-    """Read-only view of a Series' terms keyed by ``(Fraction, Fraction)``
-    exponents; built on first use, except for its length."""
-
-    __slots__ = ("_series", "_dict")
-
-    def __init__(self, series):
-        self._series = series
-        self._dict = None
-
-    def __len__(self):
-        return len(self._series._t)
-
-    def _fractions(self):
-        if self._dict is None:
-            self._dict = {(q, z): c for q, z, c in self._series.monomials()}
-        return self._dict
-
-    def __iter__(self):
-        return iter(self._fractions())
-
-    def __getitem__(self, key):
-        return self._fractions()[key]
-
-
 class Series:
-    __slots__ = ("_t", "den", "cutoff", "_sorted")
+    __slots__ = ("_comps", "den", "cutoff", "_sorted")
 
     def __init__(self, terms=None, cutoff=INF):
         """Build from ``{(qexp, zexp): coeff}`` with rational exponents."""
@@ -199,11 +179,13 @@ class Series:
             if k[0] < cutoff and v
         }
         den = lcm(*{x.denominator for k in terms for x in k})
-        self._t = {
-            (q.numerator * (den // q.denominator),
-             z.numerator * (den // z.denominator)): v
-            for (q, z), v in terms.items()
-        }
+        self._comps = ({}, {}, {}, {})
+        for (q, z), v in terms.items():
+            key = (q.numerator * (den // q.denominator),
+                   z.numerator * (den // z.denominator))
+            for d, c in zip(self._comps, v.c):
+                if c:
+                    d[key] = c
         self.den = den
         self.cutoff = _cut(cutoff)
         self._sorted = None
@@ -212,7 +194,7 @@ class Series:
 
     @staticmethod
     def zero(cutoff=INF) -> Series:
-        return _series({}, 1, _cut(cutoff))
+        return _series(({}, {}, {}, {}), 1, _cut(cutoff))
 
     @staticmethod
     def monomial(coeff: CycloNum, qexp=R0, zexp=R0, cutoff=INF) -> Series:
@@ -226,48 +208,65 @@ class Series:
 
     # -- structure ---------------------------------------------------------
 
-    def _items(self):
+    def _lists(self):
+        """The component dicts as four lists of ``(q, z, c)``, ascending:
+        what :func:`_convolve` reads."""
         if self._sorted is None:
-            self._sorted = sorted(self._t.items())
+            self._sorted = tuple(sorted((q, z, c) for (q, z), c in d.items())
+                                 for d in self._comps)
         return self._sorted
 
-    def _at(self, den):
-        """The int-keyed terms over ``den``, a multiple of ``self.den``."""
+    def _lists_at(self, den):
+        """:meth:`_lists` over ``den``, a multiple of ``self.den``."""
         if den == self.den:
-            return self._t
+            return self._lists()
         f = den // self.den
-        return {(q * f, z * f): v for (q, z), v in self._t.items()}
+        return tuple([(q * f, z * f, c) for q, z, c in part]
+                     for part in self._lists())
 
-    def _items_at(self, den):
-        """:meth:`_items` over ``den``, a multiple of ``self.den``."""
+    def _at(self, den):
+        """The component dicts over ``den``, a multiple of ``self.den``."""
         if den == self.den:
-            return self._items()
+            return self._comps
         f = den // self.den
-        return [((q * f, z * f), v) for (q, z), v in self._items()]
+        return tuple({(q * f, z * f): v for (q, z), v in d.items()}
+                     for d in self._comps)
+
+    def _coeffs(self):
+        """``((q, z), CycloNum)`` for every key, ascending: the components
+        joined, at the API edge."""
+        comps = self._comps
+        keys = sorted(set().union(*comps))
+        return [(k, CycloNum._raw(*(d.get(k, 0) for d in comps)))
+                for k in keys]
 
     @property
-    def terms(self) -> Mapping:
+    def terms(self) -> dict:
         """``{(qexp, zexp): coeff}`` with Fraction exponents."""
-        return _FractionTerms(self)
+        return {(q, z): c for q, z, c in self.monomials()}
 
     def monomials(self) -> list:
         """The terms as ``(qexp, zexp, coeff)``, Fraction exponents,
         ascending."""
         den = self.den
-        return [(rat(q, den), rat(z, den), c) for (q, z), c in self._items()]
+        return [(rat(q, den), rat(z, den), c) for (q, z), c in self._coeffs()]
+
+    def _min_q(self):
+        """The smallest stored q-key; the series must have terms."""
+        return min(min(d)[0] for d in self._comps if d)
 
     @property
     def ord(self):
         """Smallest trusted q-exponent (the cutoff itself if no terms)."""
-        if not self._t:
+        if self.is_zero_series():
             return self.cutoff
-        return rat(min(self._t)[0], self.den)
+        return rat(self._min_q(), self.den)
 
     def is_zero_series(self) -> bool:
-        return not self._t
+        return not any(self._comps)
 
     def is_zfree(self) -> bool:
-        return all(z == 0 for _, z in self._t)
+        return all(z == 0 for d in self._comps for _, z in d)
 
     def restrict(self, order) -> Series:
         """Drop terms at or above ``order`` and lower the cutoff to it."""
@@ -278,8 +277,9 @@ class Series:
                 max_order=self.cutoff,
             )
         hi = _grid_bound(order, self.den)
-        t = {k: v for k, v in self._t.items() if k[0] < hi}
-        return _series(t, self.den, _cut(order))
+        comps = tuple({k: v for k, v in d.items() if k[0] < hi}
+                      for d in self._comps)
+        return _series(comps, self.den, _cut(order))
 
     # -- ring operations ----------------------------------------------------
 
@@ -287,25 +287,28 @@ class Series:
         cut = min(self.cutoff, other.cutoff)
         den = lcm(self.den, other.den)
         hi = _grid_bound(cut, den)
-        out = {k: v for k, v in self._at(den).items() if k[0] < hi}
-        for k, v in other._at(den).items():
-            if k[0] >= hi:
-                continue
-            cur = out.get(k)
-            s = v if cur is None else cur + v
-            if not s:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return _series(out, den, cut)
+        comps = []
+        for a, b in zip(self._at(den), other._at(den)):
+            out = {k: v for k, v in a.items() if k[0] < hi}
+            for k, v in b.items():
+                if k[0] >= hi:
+                    continue
+                cur = out.get(k)
+                if cur is None:
+                    out[k] = v
+                elif s := cur + v:
+                    out[k] = s if type(s) is int else _canon(s)
+                else:
+                    del out[k]
+            comps.append(out)
+        return _series(tuple(comps), den, cut)
 
     def __sub__(self, other: Series) -> Series:
         return self + (-other)
 
     def __neg__(self) -> Series:
-        return _series(
-            {k: -v for k, v in self._t.items()}, self.den, self.cutoff
-        )
+        comps = tuple({k: -v for k, v in d.items()} for d in self._comps)
+        return _series(comps, self.den, self.cutoff)
 
     def __mul__(self, other: Series) -> Series:
         cut = min(self.cutoff + other.ord, other.cutoff + self.ord)
@@ -317,32 +320,27 @@ class Series:
         The caller is responsible for ``bound`` not exceeding the trusted
         range; ``__mul__`` passes the propagated cutoff.
         """
-        if not self._t or not other._t:
+        if self.is_zero_series() or other.is_zero_series():
             return Series.zero(bound)
         den = lcm(self.den, other.den)
         hi = _grid_bound(bound, den)
         acc = ({}, {}, {}, {})
-        _convolve(acc, _components(self._items_at(den)),
-                  _components(other._items_at(den)), hi)
+        _convolve(acc, self._lists_at(den), other._lists_at(den), hi)
         return _series(_gather(acc), den, bound)
 
     def times_monomial(self, coeff: CycloNum, dq=R0, dz=R0) -> Series:
-        """Multiply by an exact monomial (shifts exponents, scales trust);
-        the terms share one :func:`thetaq.cyclo.scaler`."""
+        """Multiply by an exact monomial (shifts exponents, scales trust):
+        a convolution with a one-term factor."""
         if not coeff:
             return Series.zero(INF)
         dq = rat(dq)
         dz = rat(dz)
         den = lcm(self.den, dq.denominator, dz.denominator)
-        f = den // self.den
         sq = dq.numerator * (den // dq.denominator)
         sz = dz.numerator * (den // dz.denominator)
-        scale = cyclo.scaler(coeff)
-        out = {
-            (q * f + sq, z * f + sz): scale(v)
-            for (q, z), v in self._t.items()
-        }
-        return _series(out, den, self.cutoff + dq)
+        acc = ({}, {}, {}, {})
+        _convolve(acc, self._lists_at(den), _one_term(coeff, sq, sz), INF)
+        return _series(_gather(acc), den, self.cutoff + dq)
 
     def inverse(self, order=None) -> Series:
         """Multiplicative inverse up to the propagated trusted order.
@@ -354,18 +352,20 @@ class Series:
         y = 1/(1 + x) follow from the reciprocal recurrence (Brent & Kung,
         J. ACM 25, 1978): y_0 = 1 and y_e = -sum_{0<k<=e} x_k y_{e-k}, each
         x_k and y_e a Laurent polynomial in z.  The result is M^{-1} y.
-        x and the result are scaled by one :func:`thetaq.cyclo.scaler` each.
+        -x and the result are each a convolution with the one-term factor
+        -M^{-1} or M^{-1}.
         """
-        if not self._t:
+        if self.is_zero_series():
             raise NonUnitLeadingError("cannot invert a series with no terms")
-        qa, den = min(self._t)[0], self.den
-        lead = [(k, v) for k, v in self._t.items() if k[0] == qa]
+        qa, den = self._min_q(), self.den
+        lead = {k for d in self._comps for k in d if k[0] == qa}
         if len(lead) != 1:
             raise NonUnitLeadingError(
                 "non-unit leading coefficient: lowest q-layer has "
                 f"{len(lead)} monomials"
             )
-        ((_, za), ca), = lead
+        (key,) = lead
+        za = key[1]
         if self.cutoff == INF:
             if order is None:
                 raise ValueError(
@@ -376,19 +376,17 @@ class Series:
             target = self.cutoff - 2 * rat(qa, den)
             if order is not None and rat(order) < target:
                 target = rat(order)
-        inv_lead = ca.inverse()
+        inv_lead = CycloNum._raw(*(d.get(key, 0) for d in self._comps)).inverse()
         # bound for y, before the shift by M^{-1}
         bound = _grid_bound(target + rat(qa, den), den)
-        minus_inv_lead = cyclo.scaler(-inv_lead)
+        acc = ({}, {}, {}, {})
+        _convolve(acc, self._lists(), _one_term(-inv_lead, -qa, -za), bound)
         # k -> [(i, z, component i of the -x coefficient)] for 0 < k < bound
         layers: dict = {}
-        for (q, z), v in self._t.items():
-            k = q - qa
-            if 0 < k < bound:
-                layers.setdefault(k, []).extend(
-                    (i, z - za, c)
-                    for i, c in enumerate(minus_inv_lead(v).c) if c
-                )
+        for i, d in enumerate(_gather(acc)):
+            for (k, z), c in d.items():
+                if k:  # the layer k = 0 is M's own
+                    layers.setdefault(k, []).append((i, z, c))
         steps = sorted(layers.items())
         y: dict = {}  # e -> four {z: component i} dicts
         # only sums of x's exponents, multiples of their gcd, carry a term
@@ -410,13 +408,13 @@ class Series:
             ye = tuple({z: c for z, c in t.items() if c} for t in acc)
             if any(ye):
                 y[e] = ye
-        scale = cyclo.scaler(inv_lead)
-        out = {
-            (e - qa, z - za): scale(c)
-            for e, ye in y.items()
-            for z, c in _gather(ye).items()
-        }
-        return _series(out, den, target)
+        ys = ([], [], [], [])
+        for e, ye in y.items():
+            for part, d in zip(ys, ye):
+                part.extend((e, z, c) for z, c in d.items())
+        acc = ({}, {}, {}, {})
+        _convolve(acc, ys, _one_term(inv_lead, -qa, -za), INF)
+        return _series(_gather(acc), den, target)
 
     # -- comparison ---------------------------------------------------------
 
@@ -436,9 +434,11 @@ class Series:
             )
         den = lcm(self.den, other.den)
         hi = _grid_bound(order, den)
-        a, b = self._at(den), other._at(den)
         mism = [
-            k for k in a.keys() | b.keys() if k[0] < hi and a.get(k) != b.get(k)
+            k
+            for a, b in zip(self._at(den), other._at(den))
+            for k in a.keys() | b.keys()
+            if k[0] < hi and a.get(k) != b.get(k)
         ]
         if not mism:
             return True, None
@@ -452,18 +452,18 @@ class Series:
         return self._at(den) == other._at(den)
 
     def __hash__(self):
-        t, den = _reduced(self._t, self.den)
-        return hash((self.cutoff, den, tuple(sorted(t.items()))))
+        comps, den = _reduced(self._comps, self.den)
+        return hash((self.cutoff, den,
+                     tuple(tuple(sorted(d.items())) for d in comps)))
 
     # -- rendering ----------------------------------------------------------
 
     def __repr__(self) -> str:
-        n = len(self._t)
+        n = len(set().union(*self._comps))
         return f"<Series {n} terms, cutoff {self.cutoff}>"
-
     def text(self) -> str:
         """Canonical human-readable form, terms ascending."""
-        if not self._t:
+        if self.is_zero_series():
             return "0"
         parts = []
         for q, z, c in self.monomials():

@@ -119,26 +119,6 @@ def test_components_stay_canonical(a, b, r, k):
         assert_canonical(x)
 
 
-monomial_coeffs = st.builds(
-    lambda r, k: CycloNum(r) * phase(rat(k, 8)),
-    st.sampled_from([rat(1), rat(-1), rat(2), rat(1, 2), rat(-1, 2),
-                     rat(3, 4)]),
-    st.integers(0, 7),
-)
-dense_coeffs = cyclos.filter(lambda c: sum(1 for x in c.c if x) >= 2)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(monomial_coeffs, dense_coeffs), cyclos)
-def test_scaler_is_the_product(c, v):
-    # v mixes int and non-integral Fraction components, zeros included
-    got, want = cyclo.scaler(c)(v), c * v
-    assert got == want
-    assert [type(x) for x in got.c] == [type(x) for x in want.c]
-    assert_canonical(got)
-    assert cyclo.scaler(cyclo.ONE)(v) is v
-
-
 def test_int_and_fraction_components_are_one_value():
     assert CycloNum(rat(2)) == CycloNum(2)
     assert hash(CycloNum(rat(2))) == hash(CycloNum(2))

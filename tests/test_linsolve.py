@@ -16,7 +16,7 @@ from thetaq.numerators import (
     ratio_pair,
     u_basis,
 )
-from thetaq.series import InsufficientOrderError, Series, _series, align
+from thetaq.series import InsufficientOrderError, Series, align
 from thetaq.thetalib import bracket, eta, mumford, theta
 
 from conftest import assert_equal_series, span_equal
@@ -409,8 +409,8 @@ def reference_decompose(target, basis, order):
         for e in supports[i]:
             v = values.get(col_index[(i, e)])
             if v is not None:
-                terms[(e, 0)] = v
-        coeffs.append(_series(terms, den, order - b.ord))
+                terms[(rat(e, den), rat(0))] = v
+        coeffs.append(Series(terms, order - b.ord))
 
     certified = min([order, target.cutoff] + [
         b.cutoff + c.ord for b, c in zip(basis, coeffs) if not c.is_zero_series()

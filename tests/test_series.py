@@ -11,8 +11,7 @@ from thetaq.series import (InsufficientOrderError, NonUnitLeadingError, Series,
                            _grid_bound)
 from thetaq.thetalib import eta, mumford, theta
 
-from conftest import (assert_canonical, assert_equal_series, random_series,
-                      scale_args)
+from conftest import assert_equal_series, random_series, scale_args
 
 
 def S(pairs, cutoff=INF):
@@ -381,8 +380,8 @@ def test_boundary_exponents_are_fractions(a, b):
 
 
 # -- the product and inverse kernels accumulate each Q(zeta_8) component on
-# -- its own: their output must still be one canonical, nonzero coefficient
-# -- per key, equal to the term-by-term CycloNum result
+# -- its own: every stored component must be canonical and nonzero, and the
+# -- terms equal to the term-by-term CycloNum result
 
 # Fraction and non-rational components, units, and their sums
 FORM_COEFFS = (CycloNum(rat(1, 2), 0, 0, -1), cyclo.ONE + W, CycloNum(rat(-2, 3)),
@@ -400,9 +399,13 @@ def form_series(draw):
 
 
 def assert_kernel_form(s):
-    for c in s.terms.values():
-        assert c
-        assert_canonical(c)
+    # the stored components, not ``terms``, whose CycloNums canonicalize
+    # on the way out
+    for d in s._comps:
+        for v in d.values():
+            assert v
+            assert type(v) is int or (type(v) is Fraction
+                                      and v.denominator > 1), v
 
 
 @settings(max_examples=200, deadline=None)
@@ -411,12 +414,29 @@ def test_products_and_inverses_store_canonical_nonzero_coefficients(a, b, case):
     # in (a + b)(a - b) the cross terms ab and ba cancel key by key
     for x, y in ((a, b), (a + b, a - b)):
         prod = x * y
-        assert_kernel_form(prod)
+        for out in (x, y, prod):
+            assert_kernel_form(out)
         assert (prod.terms, prod.cutoff) == fraction_product(x, y)
     s, order = case
     inv = s.inverse(order)
     assert_kernel_form(inv)
     assert (inv.terms, inv.cutoff) == geometric_inverse(s, order)
+
+
+# 1, the units w^k, a rational non-unit and the two-component FORM_COEFFS
+monomial_coeffs = st.sampled_from(
+    [cyclo.ONE] + [cyclo.phase(rat(k, 8)) for k in range(1, 8)]
+    + [CycloNum(rat(-2, 3)), FORM_COEFFS[0], FORM_COEFFS[1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_series(), monomial_coeffs, mixed_q, mixed_z)
+def test_times_monomial_is_the_product(s, c, dq, dz):
+    got = s.times_monomial(c, dq, dz)
+    want = s * Series.monomial(c, dq, dz)
+    assert_kernel_form(got)
+    assert got.terms == want.terms
+    assert got.cutoff == want.cutoff
 
 
 def test_term_cancelled_only_by_w4_fold_is_dropped():
