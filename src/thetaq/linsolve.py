@@ -6,16 +6,29 @@ statement in the package: ``decompose`` searches for z-free series c_i with
 elimination over Q(zeta_8) on the monomial-matching linear system, or over
 Q when the system is in real form (below).
 
-Unknown supports: for each basis element, candidate q-exponents start from
-all differences (target q-exponent) - (basis q-exponent) taken at matching
-z-exponents, and are closed under cross-cancellation differences between
-basis elements until a fixpoint, inside the window
-``[min interacting ord - 1,  order - ord(basis_i))``.  The window floor is
+Unknown supports: column (i, e) stands for q^e times basis_i, and it
+touches the monomial q^(e + a) z^b of each term q^a z^b of basis_i.  The
+candidate exponents are the least sets such that basis_j holds every e
+inside its window ``[min interacting ord - 1,  order - ord(basis_j))``
+for which q^e times a term of basis_j lands on a monomial touched by a
+candidate column or by a target term below the order.  The window floor is
 a fixed one-unit pad, so results are deterministic; soundness never depends
 on it because the candidate solution is always re-multiplied and the
 residual checked term by term.  The search and the linear system work on
 integer exponents over one denominator shared by the target and the basis
 (:func:`thetaq.series.align`).
+
+The closure runs on int bitsets.  Basis i's candidates are one int S_i
+whose bit k stands for the exponent floor - ord_i + k, below the window
+width hi - floor; the monomials touched at z-exponent z are one int P(z)
+whose bit k stands for q^(floor + k).  Each round takes only the bits new
+in the round before: basis j gains ``P(z) >> (b - ord_j)`` for each of its
+q-exponents b at z, masked to its window and to bits it lacks, and those
+new bits S add ``S << (a - ord_i)`` into P(z) for each term q^a z^b of
+basis i.  P(z) is not cut at the window top: a column touches all its
+monomials, also those at or above the order, and columns that meet only
+there are candidates too, so a cut P(z) would drop columns and change
+the system.
 
 Closed rows: rows are reduced in ascending monomial order, each by the
 pivots in ascending column order.  A pivot is *closed* once every other
@@ -47,7 +60,6 @@ from __future__ import annotations
 
 import heapq
 import operator
-from bisect import bisect_left
 from math import lcm
 
 from ._rational import rat, rat_str
@@ -85,13 +97,6 @@ class Decomposition:
         }
 
 
-def _zmap(row):
-    out: dict = {}
-    for q, z, _ in row:
-        out.setdefault(z, []).append(q)
-    return out
-
-
 def _supports(target_row, basis_rows, hi, den):
     """Candidate coefficient q-exponents per basis element (see module doc).
 
@@ -100,59 +105,55 @@ def _supports(target_row, basis_rows, hi, den):
     without terms gets no candidates, and a target without terms below
     ``hi`` gives none at all.
     """
+    nb = len(basis_rows)
     seeds = [(q, z) for q, z, _ in target_row if q < hi]
     if not seeds:
         return [[] for _ in basis_rows]
-    zmaps = [_zmap(r) for r in basis_rows]
-    sets: list[set] = [set() for _ in basis_rows]
     ords = [r[0][0] if r else None for r in basis_rows]
-    his = [None if o is None else hi - o for o in ords]
     floor = min([target_row[0][0]] + [o for o in ords if o is not None]) - den
-    work: list[tuple[int, int]] = []
-
-    def grow(i, es):
-        new = es - sets[i]
-        sets[i] |= new
-        work.extend((i, e) for e in new)
-
-    for i, zm in enumerate(zmaps):
-        if zm:
-            lo, top = floor - ords[i], his[i]
-            grow(i, {e for qt, zt in seeds for qs in zm.get(zt, ())
-                     if lo <= (e := qt - qs) < top})
-
-    # cross-cancellation differences between basis elements at equal zexp
-    diffs: dict = {}
-
-    def diff_set(i, j):
-        key = (i, j)
-        got = diffs.get(key)
-        if got is not None:
-            return got
-        d = set()
-        zi, zj = zmaps[i], zmaps[j]
-        for z, qs_i in zi.items():
-            qs_j = zj.get(z)
-            if not qs_j:
+    window = (1 << (hi - floor)) - 1
+    # z -> (j, b - ord_j) for every term q^b z^z of every basis element j
+    at_z: dict = {}
+    for j, r in enumerate(basis_rows):
+        for b, z, _ in r:
+            at_z.setdefault(z, []).append((j, b - ords[j]))
+    # bit k of sets[i] is the exponent floor - ord_i + k; bit k of p[z] is
+    # the monomial q^(floor + k) z^z, touched by a column or a seed
+    sets = [0] * nb
+    p: dict = {}
+    for q, z in seeds:
+        if z in at_z:
+            p[z] = p.get(z, 0) | 1 << (q - floor)
+    fresh = p
+    while fresh:
+        grown = [0] * nb
+        for z, bits in fresh.items():
+            for j, sh in at_z[z]:
+                grown[j] |= bits >> sh
+        touched: dict = {}
+        for i, s in enumerate(grown):
+            s &= window & ~sets[i]
+            if not s:
                 continue
-            for a in qs_i:
-                for b in qs_j:
-                    d.add(a - b)
-        got = sorted(d)
-        diffs[key] = got
-        return got
-
-    nb = len(basis_rows)
-    while work:
-        i, e = work.pop()
-        for j in range(nb):
-            ds = diff_set(i, j)
-            if not ds:
-                continue
-            # only the differences that land in basis j's window
-            lo = bisect_left(ds, floor - ords[j] - e)
-            grow(j, {e + d for d in ds[lo:bisect_left(ds, his[j] - e, lo)]})
-    return [sorted(s) for s in sets]
+            sets[i] |= s
+            o = ords[i]
+            for a, z, _ in basis_rows[i]:
+                touched[z] = touched.get(z, 0) | s << (a - o)
+        fresh = {}
+        for z, bits in touched.items():
+            old = p.get(z, 0)
+            if bits := bits & ~old:
+                p[z] = old | bits
+                fresh[z] = bits
+    out = []
+    for s, o in zip(sets, ords):
+        es = []
+        while s:
+            low = s & -s
+            es.append(floor - o + low.bit_length() - 1)
+            s ^= low
+        out.append(es)
+    return out
 
 
 # a pivot of 1 or -1 keeps or negates its row

@@ -32,13 +32,16 @@ Cutoffs propagate pessimistically:
 * inverse:  cutoff - 2*ord.
 
 Products are truncated convolutions of the component dicts in four
-accumulators (:func:`_convolve`); a product by one monomial
-(``times_monomial``, the inverse's scalings) is the same convolution with
-a one-term factor.  Inverses use the reciprocal recurrence over q-layers
-in one pass (Brent & Kung, "Fast algorithms for manipulating formal power
-series", J. ACM 25, 1978), not a sum of powers.  The generators sum their
-eighth turns into the same accumulators (:func:`_add_turn`), and
-:func:`_gather` turns accumulators into the dicts of a series.
+accumulators (:func:`_convolve`).  A product by one monomial
+(``times_monomial``, the inverse's scalings) shifts the keys and scales
+the values (:func:`_shift`): component c_j of the coefficient moves
+component i to i + j, and with one nonzero c_j the shifted lists stay
+sorted, so the result keeps them.  Inverses use the reciprocal recurrence
+over q-layers in one pass (Brent & Kung, "Fast algorithms for manipulating
+formal power series", J. ACM 25, 1978), not a sum of powers.  The
+generators sum their eighth turns into the same accumulators
+(:func:`_add_turn`), and :func:`_gather` turns accumulators into the dicts
+of a series.
 
 ``ord`` here means the smallest stored q-exponent, or the cutoff itself for
 a series with no stored terms (all that is known of such a series is that
@@ -51,6 +54,7 @@ series compare and hash equal whatever their ``den``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd, lcm
 
 from . import cyclo
@@ -122,9 +126,44 @@ def _gather(acc):
                   for k, c in t.items() if c} for t in acc)
 
 
-def _one_term(coeff, q, z):
-    """The component lists of the monomial ``coeff * q^q z^z``."""
-    return tuple([(q, z, c)] if c else [] for c in coeff.c)
+def _scaled(xl, c, sq, sz, hi):
+    """``(q + sq, z + sz, x * c)`` for the ``(q, z, x)`` of a list that
+    ascends in q, kept below ``hi``; an int x times p/q is ``x*p // q``
+    when q divides it, a ``Fraction`` only otherwise."""
+    if hi != INF:
+        xl = xl[:bisect_left(xl, (hi - sq,))]
+    if type(c) is int:
+        return [(q + sq, z + sz, x * c if type(x) is int else _canon(x * c))
+                for q, z, x in xl]
+    p, d = c.numerator, c.denominator
+    return [(q + sq, z + sz, (y // d if not (y := x * p) % d else rat(y, d))
+             if type(x) is int else _canon(x * c)) for q, z, x in xl]
+
+
+def _shift(xs, coeff, sq, sz, hi, den, cutoff) -> Series:
+    """``coeff * q^sq z^sz`` times the series of the four ascending
+    component lists ``xs``, below ``hi``: keys shifted, values scaled.
+    Component c_j of ``coeff`` moves list i to component i + j, negated
+    past w^4 = -1.  With one nonzero c_j the shifted lists stay sorted and
+    are the new series' lists; otherwise the parts are summed."""
+    parts = [(j, c) for j, c in enumerate(coeff.c) if c]
+    if len(parts) == 1:
+        ((j, c),) = parts
+        lists: list = [None] * 4
+        for i, xl in enumerate(xs):
+            lists[(i + j) & 3] = _scaled(xl, -c if i + j >= 4 else c,
+                                         sq, sz, hi)
+        out = _series(tuple({(q, z): x for q, z, x in xl} for xl in lists),
+                      den, cutoff)
+        out._sorted = tuple(lists)
+        return out
+    acc = ({}, {}, {}, {})
+    for j, c in parts:
+        for i, xl in enumerate(xs):
+            t = acc[(i + j) & 3]
+            for q, z, x in _scaled(xl, -c if i + j >= 4 else c, sq, sz, hi):
+                t[q, z] = t.get((q, z), 0) + x
+    return _series(_gather(acc), den, cutoff)
 
 
 def _convolve(acc, xs, ys, hi, negate=False):
@@ -330,7 +369,7 @@ class Series:
 
     def times_monomial(self, coeff: CycloNum, dq=R0, dz=R0) -> Series:
         """Multiply by an exact monomial (shifts exponents, scales trust):
-        a convolution with a one-term factor."""
+        the keys shift, the values scale (:func:`_shift`)."""
         if not coeff:
             return Series.zero(INF)
         dq = rat(dq)
@@ -338,9 +377,8 @@ class Series:
         den = lcm(self.den, dq.denominator, dz.denominator)
         sq = dq.numerator * (den // dq.denominator)
         sz = dz.numerator * (den // dz.denominator)
-        acc = ({}, {}, {}, {})
-        _convolve(acc, self._lists_at(den), _one_term(coeff, sq, sz), INF)
-        return _series(_gather(acc), den, self.cutoff + dq)
+        return _shift(self._lists_at(den), coeff, sq, sz, INF, den,
+                      self.cutoff + dq)
 
     def inverse(self, order=None) -> Series:
         """Multiplicative inverse up to the propagated trusted order.
@@ -352,8 +390,8 @@ class Series:
         y = 1/(1 + x) follow from the reciprocal recurrence (Brent & Kung,
         J. ACM 25, 1978): y_0 = 1 and y_e = -sum_{0<k<=e} x_k y_{e-k}, each
         x_k and y_e a Laurent polynomial in z.  The result is M^{-1} y.
-        -x and the result are each a convolution with the one-term factor
-        -M^{-1} or M^{-1}.
+        -x and the result are each a shift by -M^{-1} or M^{-1}
+        (:func:`_shift`).
         """
         if self.is_zero_series():
             raise NonUnitLeadingError("cannot invert a series with no terms")
@@ -378,12 +416,12 @@ class Series:
                 target = rat(order)
         inv_lead = CycloNum._raw(*(d.get(key, 0) for d in self._comps)).inverse()
         # bound for y, before the shift by M^{-1}
-        bound = _grid_bound(target + rat(qa, den), den)
-        acc = ({}, {}, {}, {})
-        _convolve(acc, self._lists(), _one_term(-inv_lead, -qa, -za), bound)
+        ytop = target + rat(qa, den)
+        bound = _grid_bound(ytop, den)
+        mx = _shift(self._lists(), -inv_lead, -qa, -za, bound, den, ytop)
         # k -> [(i, z, component i of the -x coefficient)] for 0 < k < bound
         layers: dict = {}
-        for i, d in enumerate(_gather(acc)):
+        for i, d in enumerate(mx._comps):
             for (k, z), c in d.items():
                 if k:  # the layer k = 0 is M's own
                     layers.setdefault(k, []).append((i, z, c))
@@ -405,16 +443,14 @@ class Series:
                         for zy, cy in dj.items():
                             zz = zx + zy
                             t[zz] = t.get(zz, 0) + x * cy
-            ye = tuple({z: c for z, c in t.items() if c} for t in acc)
+            ye = _gather(acc)
             if any(ye):
                 y[e] = ye
         ys = ([], [], [], [])
         for e, ye in y.items():
             for part, d in zip(ys, ye):
-                part.extend((e, z, c) for z, c in d.items())
-        acc = ({}, {}, {}, {})
-        _convolve(acc, ys, _one_term(inv_lead, -qa, -za), INF)
-        return _series(_gather(acc), den, target)
+                part.extend((e, z, c) for z, c in sorted(d.items()))
+        return _shift(ys, inv_lead, -qa, -za, INF, den, target)
 
     # -- comparison ---------------------------------------------------------
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from thetaq._rational import INF, rat
 from thetaq import cyclo
 from thetaq.cyclo import CycloNum, phase
+from thetaq import identities
+from thetaq.identities import branch_product
 from thetaq.linsolve import Decomposition, _supports, decompose, membership
 from thetaq.numerators import (
     SUPPORTED_CHARACTERS,
@@ -217,7 +219,7 @@ def int_supports(target, basis, order):
             for es in _supports(rows[0], rows[1:], hi, den)]
 
 
-def test_supports_match_reference_on_branch_bases():
+def test_supports_match_reference_on_branch_bases(monkeypatch):
     order = rat(6)
     k = order + rat(1, 2)
     checked = 0
@@ -233,6 +235,24 @@ def test_supports_match_reference_on_branch_bases():
             assert any(got)
             checked += 1
     assert checked >= 5
+
+    # the deep systems that ``branch`` solves, caught on their way into
+    # ``decompose``
+    systems = []
+    solve = identities.decompose
+
+    def caught(target, basis, order):
+        systems.append((target, basis, order))
+        return solve(target, basis, order)
+
+    monkeypatch.setattr(identities, "decompose", caught)
+    for left, right, order in (((2, 0), (2, 1), 12), ((1, 1), (1, 1), 14)):
+        assert branch_product(left, right, order)[1].status == "exact"
+    assert len(systems) >= 2
+    for target, basis, order in systems:
+        got = int_supports(target, basis, order)
+        assert got == reference_supports(target, basis, order)
+        assert any(got)
 
 
 MIXED_DENS = (1, 2, 3, 5, 7)

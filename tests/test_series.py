@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -406,6 +407,9 @@ def assert_kernel_form(s):
             assert v
             assert type(v) is int or (type(v) is Fraction
                                       and v.denominator > 1), v
+    # sorted lists a kernel kept (a shift keeps its own) match a fresh sort
+    assert s._lists() == tuple(sorted((q, z, v) for (q, z), v in d.items())
+                               for d in s._comps)
 
 
 @settings(max_examples=200, deadline=None)
@@ -437,6 +441,15 @@ def test_times_monomial_is_the_product(s, c, dq, dz):
     assert_kernel_form(got)
     assert got.terms == want.terms
     assert got.cutoff == want.cutoff
+    # halving even coefficients, times a unit or not, leaves ints
+    n = 2 * lcm(*(Fraction(v).denominator
+                  for d in s._comps for v in d.values()))
+    even = s.times_monomial(CycloNum(n))
+    for half in (CycloNum(rat(1, 2)), CycloNum(0, 0, rat(-1, 2))):
+        halved = even.times_monomial(half, dq, dz)
+        assert all(type(v) is int for d in halved._comps for v in d.values())
+        assert halved.terms == s.times_monomial(half * CycloNum(n), dq,
+                                                dz).terms
 
 
 def test_term_cancelled_only_by_w4_fold_is_dropped():
