@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from ._rational import BACKEND, rat, rat_from_str, rat_str
@@ -86,14 +87,18 @@ def _resolve(args):
     return order, fmt, jobs
 
 
+def _table(head, rows) -> str:
+    """A markdown table: the header cells, their rule, one line per row."""
+    return "\n".join("| " + " | ".join(map(str, r)) + " |"
+                     for r in [head, ["---"] * len(head), *rows])
+
+
 def _emit_series(s: Series, fmt: str):
     if fmt == "json":
         print(json.dumps(s.json_obj(), indent=2))
     elif fmt == "markdown":
-        print("| qexp | zexp | coefficient |")
-        print("| --- | --- | --- |")
-        for q, z, c in s.monomials():
-            print(f"| {rat_str(q)} | {rat_str(z)} | {c} |")
+        print(_table(("qexp", "zexp", "coefficient"), (
+            (rat_str(q), rat_str(z), c) for q, z, c in s.monomials())))
     else:
         print(s.text())
 
@@ -126,6 +131,10 @@ def cmd_expand(args) -> int:
         basis = u_basis(args.m_level, args.sector, order)
         if fmt == "json":
             print(json.dumps([b.json_obj() for b in basis], indent=2))
+        elif fmt == "markdown":
+            print(_table(("generator", "qexp", "zexp", "coefficient"), (
+                (i, rat_str(q), rat_str(z), c)
+                for i, b in enumerate(basis) for q, z, c in b.monomials())))
         else:
             for i, b in enumerate(basis):
                 print(f"[{i}] {b.text()}")
@@ -144,16 +153,12 @@ def _report_lines(reports, fmt, timings):
         return [json.dumps(payload, indent=2)]
     lines = []
     if fmt == "markdown":
-        lines.append("| id | kind | status | certified_order | first_mismatch |")
-        lines.append("| --- | --- | --- | --- | --- |")
-        for r in reports:
-            mm = "" if r.first_mismatch is None else (
-                f"({rat_str(r.first_mismatch[0])}, {rat_str(r.first_mismatch[1])})"
-            )
-            lines.append(
-                f"| {r.id} | {r.kind} | {r.status} | "
-                f"{rat_str(r.certified_order)} | {mm} |"
-            )
+        lines.append(_table(
+            ("id", "kind", "status", "certified_order", "first_mismatch"),
+            ((r.id, r.kind, r.status, rat_str(r.certified_order),
+              "" if r.first_mismatch is None else
+              f"({rat_str(r.first_mismatch[0])}, {rat_str(r.first_mismatch[1])})")
+             for r in reports)))
     else:
         for r in reports:
             extra = ""
@@ -216,16 +221,18 @@ def cmd_branch(args) -> int:
     }
     if fmt == "json":
         print(json.dumps(payload, indent=2))
-    else:
-        print(f"{payload['left']} x {payload['right']} over "
-              + ", ".join(payload["basis"]))
-        print(f"status: {dec.status} (certified below "
-              f"{rat_str(dec.certified_order)})")
-        for lbl, c in zip(labels, dec.coefficients):
-            print(f"  coeff[{lbl[0]}:{lbl[1]}] = {c.text()}")
-        if dec.witness is not None:
-            print(f"  unmatched monomial: (q^{rat_str(dec.witness[0])}, "
-                  f"z^{rat_str(dec.witness[1])})")
+        return 0 if dec.status == "exact" else 1
+    md = fmt == "markdown"
+    print(f"{payload['left']} x {payload['right']} over "
+          + ", ".join(payload["basis"]))
+    print(("\n" if md else "") + f"status: {dec.status} (certified below "
+          f"{rat_str(dec.certified_order)})")
+    coeffs = [(f"{a}:{b}", c.text()) for (a, b), c in zip(labels, dec.coefficients)]
+    print("\n" + _table(("label", "coefficient"), coeffs) if md
+          else "\n".join(f"  coeff[{lbl}] = {text}" for lbl, text in coeffs))
+    if dec.witness is not None:
+        print(("\n" if md else "  ") + "unmatched monomial: "
+              f"(q^{rat_str(dec.witness[0])}, z^{rat_str(dec.witness[1])})")
     return 0 if dec.status == "exact" else 1
 
 
@@ -240,6 +247,10 @@ def cmd_list(args) -> int:
             ],
             indent=2,
         ))
+    elif fmt == "markdown":
+        print(_table(("id", "kind", "default_order", "anchor"),
+                     ((i, k, rat_str(o), a) for i, k, o, a in rows)))
+        print(f"\n{len(rows)} identities")
     else:
         for i, k, o, a in rows:
             print(f"{i:44s} {k:15s} order {rat_str(o):4s} {a}")
@@ -317,10 +328,17 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()
+        return rc
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (``thetaq list | head -1``); point it at
+        # devnull so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -74,17 +74,8 @@ class CycloNum:
         return CycloNum._raw(-a[0], -a[1], -a[2], -a[3])
 
     def __mul__(self, other: CycloNum) -> CycloNum:
-        a, b = self.c, other.c
-        a0, a1, a2, a3 = a
-        if not (a1 or a2 or a3):
-            if not a0:
-                return ZERO
-            return CycloNum._raw(a0 * b[0], a0 * b[1], a0 * b[2], a0 * b[3])
-        b0, b1, b2, b3 = b
-        if not (b1 or b2 or b3):
-            if not b0:
-                return ZERO
-            return CycloNum._raw(b0 * a0, b0 * a1, b0 * a2, b0 * a3)
+        a0, a1, a2, a3 = self.c
+        b0, b1, b2, b3 = other.c
         return CycloNum._raw(
             a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
             a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,

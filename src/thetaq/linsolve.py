@@ -33,7 +33,7 @@ the system.
 Closed rows: rows are reduced in ascending monomial order, each by the
 pivots in ascending column order.  A pivot is *closed* once every other
 column of its normalized row is a closed pivot.  A row made only of closed
-pivots is skipped uncopied, and that is exact: reducing it by its least
+pivots is skipped, and that is exact: reducing it by its least
 column leaves only larger closed pivots, so by induction it reduces to the
 empty row, which yields no pivot and whose right side is dropped (the
 re-multiplication judges consistency).  Pivots, free columns and values are
@@ -223,7 +223,6 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
         if q >= hi:
             break
         rhs[(q, z)] = coeff
-        rows.setdefault((q, z), {})
 
     # forward elimination, rows in ascending monomial order; a pivot row
     # holds only columns >= its pivot column, so reducing by the pivots in
@@ -236,7 +235,7 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
     for key in sorted(rows):
         if closed.issuperset(rows[key]):
             continue  # reduces to the empty row
-        row = dict(rows[key])
+        row = rows[key]
         rv = rhs.get(key)
         todo = [c for c in row if c in pivots]
         heapq.heapify(todo)

@@ -4,9 +4,11 @@ explicit level 1/2/4 characters, and the derived denominator.
 The numerator family F[m, s] is *defined* here by its closed expansion at
 the character slice (quotient bracket + twisted-constant divisor + triple
 sums) and the ladder F[m, s] - F[m, s+1] = :func:`ladder_step`, never by
-the companion-series definition it came from.  Sector rule: half-integer s
-for every level m, integer s only for odd m (no base formula exists
-otherwise).
+the companion-series definition it came from.  One builder,
+``_numerator(m, s, p, order)``, makes every F[m, s]: the closed expansion
+at offset p is F[m, s0 - mp], and any other s is walked from there.
+Sector rule: half-integer s for every level m, integer s only for odd m
+(no base formula exists otherwise).
 
 The identity registry sees a slip in a sector base or in the ladder: the
 p-independence checks compare the closed expansions at offsets 0, 1 and 2,
@@ -188,10 +190,19 @@ def _level(m) -> int:
     return m
 
 
-def _numerator(m, p, sector, order) -> Series:
-    """Validate (m, p) for the sector and return its cached base numerator."""
+def _numerator(m, s, p, order) -> Series:
+    """F[m, s] built with ladder offset p >= 0; the family's one builder.
+
+    The sector is read from s: half-integer s has base s0 = 1/2 for every
+    m, integer s needs odd m and has s0 = (m+1)/2.  At s = s0 - mp this is
+    the closed expansion at offset p; elsewhere the walk from there.
+    """
+    s = rat(s)
+    if (2 * s).denominator != 1:
+        raise ValueError("s must be a half-integer")
     m = _level(m)
     p = int(p)
+    sector = "half" if s.denominator == 2 else "integer"
     if sector == "integer" and m % 2 == 0:
         raise ValueError("integer-s numerator undefined for even m")
     if p < 0:
@@ -202,23 +213,28 @@ def _numerator(m, p, sector, order) -> Series:
             "vanishes identically; the expansion is undefined at this shift"
         )
     order = rat(order)
+    t = (rat(1, 2) if sector == "half" else rat(m + 1, 2)) - m * p
+    key = ("num", m, s, p, order)
+    if s == t:
+        return _cached(key, lambda: _closed(m, p, sector, order))
     return _cached(
-        ("numh" if sector == "half" else "numi", m, p, order),
-        lambda: _numerator_raw(m, p, sector, order),
-    )
+        key, lambda: _walk(_numerator(m, t, p, order), m, t, s, order))
+
+
+def numerator(m: int, s, order) -> Series:
+    """F[m, s], walked by ladder steps from the closed expansion at p = 0."""
+    return _numerator(m, s, 0, order)
 
 
 def numerator_half(m: int, p: int, order) -> Series:
-    """The half-sector numerator F[m, 1/2] built with ladder offset p >= 0.
-
-    Independent of p up to the propagated cutoff; the registry checks this.
-    """
-    return _numerator(m, p, "half", order)
+    """F[m, 1/2] built with ladder offset p >= 0; the registry checks that
+    it does not depend on p."""
+    return _numerator(m, rat(1, 2), p, order)
 
 
 def numerator_int(m: int, p: int, order) -> Series:
-    """The integer-sector numerator F[m, 0]; defined for odd m only."""
-    return _numerator(m, p, "integer", order)
+    """F[m, 0] built with ladder offset p >= 0; defined for odd m only."""
+    return _numerator(m, R0, p, order)
 
 
 def _sector_index(p, sector):
@@ -249,13 +265,9 @@ def _undivided(m, p, sector, order):
     return total + s.times_monomial(cyclo.ONE, pref, R0)
 
 
-def _numerator_raw(m, p, sector, order):
-    """F[m, s] of the sector's base s, built with ladder offset p.
-
-    The closed expansion at offset p, the undivided expansion over the
-    twisted constant of index 2m alpha at degree m+1, is F[m, s0 - mp],
-    s0 = 1/2 in the half sector and (m+1)/2 in the integer one; the
-    boundary sums are the ladder walk from there to the base.
+def _closed(m, p, sector, order):
+    """The closed expansion at offset p, F[m, s0 - mp]: the undivided
+    expansion over the twisted constant of index 2m alpha at degree m+1.
 
     The integer sector also twists it by e^{-pi i m/2}; m is odd there, so
     its divisor carries the + sign twist.
@@ -264,19 +276,14 @@ def _numerator_raw(m, p, sector, order):
     big_m = m + 1
     eps = 1 if m % 2 else -1
     idx0 = 2 * m * alpha
-    unit = phase(rat(m * p, 2))
-    if sector != "half":
-        unit = unit * phase(-rat(m, 4))
+    unit = phase(rat(m * p, 2) - (R0 if sector == "half" else rat(m, 4)))
     o0 = big_m * _min_coset_abs(idx0 / (2 * big_m)) ** 2
     # the inverse has ord -o0: build u o0 higher and size the inverse from
     # u's order, so the product's cutoff is exactly ``order``
     u = _undivided(m, p, sector, order + o0)
     kd = order - u.ord
     th0_inv = theta_pm(eps, idx0, big_m, kd + 2 * o0 + 1).inverse(order=kd)
-    closed = (u * th0_inv).times_monomial(unit)
-    s0, base = ((rat(1, 2), rat(1, 2)) if sector == "half"
-                else (rat(m + 1, 2), R0))
-    return _walk(closed, m, s0 - m * p, base, order)
+    return (u * th0_inv).times_monomial(unit)
 
 
 def undivided_half_combination(m: int, p: int, order) -> Series:
@@ -319,23 +326,6 @@ def _walk(f, m, t, s, order):
         if 2 * t % (2 * m):
             f = f + ladder_step(m, t, order)
     return f
-
-
-def numerator(m: int, s, order) -> Series:
-    """F[m, s] from the sector base by ladder steps (upward or downward)."""
-    m = int(m)
-    s = rat(s)
-    if (2 * s).denominator != 1:
-        raise ValueError("s must be a half-integer")
-    half_sector = s.denominator == 2
-    order = rat(order)
-
-    def build():
-        if half_sector:
-            return _walk(numerator_half(m, 0, order), m, rat(1, 2), s, order)
-        return _walk(numerator_int(m, 0, order), m, R0, s, order)
-
-    return _cached(("num", m, s, order), build)
 
 
 def u_basis(m: int, sector: str, order) -> list[Series]:

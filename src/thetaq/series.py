@@ -145,25 +145,20 @@ def _shift(xs, coeff, sq, sz, hi, den, cutoff) -> Series:
     component lists ``xs``, below ``hi``: keys shifted, values scaled.
     Component c_j of ``coeff`` moves list i to component i + j, negated
     past w^4 = -1.  With one nonzero c_j the shifted lists stay sorted and
-    are the new series' lists; otherwise the parts are summed."""
+    are the new series' lists; otherwise the product is a convolution."""
     parts = [(j, c) for j, c in enumerate(coeff.c) if c]
-    if len(parts) == 1:
-        ((j, c),) = parts
-        lists: list = [None] * 4
-        for i, xl in enumerate(xs):
-            lists[(i + j) & 3] = _scaled(xl, -c if i + j >= 4 else c,
-                                         sq, sz, hi)
-        out = _series(tuple({(q, z): x for q, z, x in xl} for xl in lists),
-                      den, cutoff)
-        out._sorted = tuple(lists)
-        return out
-    acc = ({}, {}, {}, {})
-    for j, c in parts:
-        for i, xl in enumerate(xs):
-            t = acc[(i + j) & 3]
-            for q, z, x in _scaled(xl, -c if i + j >= 4 else c, sq, sz, hi):
-                t[q, z] = t.get((q, z), 0) + x
-    return _series(_gather(acc), den, cutoff)
+    if len(parts) != 1:
+        acc = ({}, {}, {}, {})
+        _convolve(acc, [[(sq, sz, c)] if c else [] for c in coeff.c], xs, hi)
+        return _series(_gather(acc), den, cutoff)
+    ((j, c),) = parts
+    lists: list = [None] * 4
+    for i, xl in enumerate(xs):
+        lists[(i + j) & 3] = _scaled(xl, -c if i + j >= 4 else c, sq, sz, hi)
+    out = _series(tuple({(q, z): x for q, z, x in xl} for xl in lists),
+                  den, cutoff)
+    out._sorted = tuple(lists)
+    return out
 
 
 def _convolve(acc, xs, ys, hi, negate=False):

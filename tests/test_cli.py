@@ -226,9 +226,23 @@ def _raising(order):
      _has("ERROR S2.squares.item3  [order 0, ")),
     (["verify", "--id", "S2.squares.item3"], _raising, 1,
      _has(" ms]  ValueError: boom\n")),
+    (["list", "--format", "markdown"], None, 0,
+     _has("| id | kind | default_order | anchor |\n| --- | --- | --- | --- |\n"
+          "| S2.mult-lemma.n1m1.j0k0 | equality | 6 | theta multiplication "
+          "law, degrees (1,1), indices (0,0) |\n")),
+    (["branch", "--left", "1:0", "--right", "1:1", "--order", "2",
+      "--format", "markdown"], None, 0,
+     _has("status: exact (certified below 2)\n\n| label | coefficient |\n"
+          "| --- | --- |\n"
+          "| 2:1 | q^(1/48) - q^(25/48) + q^(49/48) - 2 * q^(73/48) |\n")),
+    (["expand", "ubasis", "--m", "3", "--sector", "integer", "--order", "2",
+      "--format", "markdown"], None, 0,
+     _has("| generator | qexp | zexp | coefficient |\n| --- | --- | --- | --- |\n"
+          "| 0 | 45/64 | -2 | -1 |\n")),
 ], ids=["expand-markdown", "verify-markdown", "list-json", "expand-mumford",
         "expand-ubasis-json", "verify-fail-status", "verify-mismatch-suffix",
-        "verify-error-status", "verify-error-suffix"])
+        "verify-error-status", "verify-error-suffix", "list-markdown",
+        "branch-markdown", "expand-ubasis-markdown"])
 def test_output_paths(capsys, monkeypatch, argv, run, rc, check):
     if run is not None:
         reg = identities.registry()
@@ -256,6 +270,23 @@ def test_console_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert "q^(1/4)" in proc.stdout
+
+
+@pytest.mark.slow
+def test_closed_stdout_exits_1_without_a_traceback():
+    # `thetaq list | head -1`: the listing outgrows the pipe buffer, so the
+    # writes after the reader closes its end fail
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "thetaq.cli", "list"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert first.startswith(b"S2.mult-lemma.n1m1.j0k0 ")
+    assert err == b""
 
 
 def test_one_rational_type():

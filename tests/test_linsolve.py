@@ -91,6 +91,23 @@ def test_insufficient_order():
         decompose(theta(0, 1, 3), [], 2)
 
 
+def _half_lowered_target():
+    return theta(0, 1, 5).times_monomial(cyclo.ONE, rat(-1, 2))
+
+
+def test_insufficient_order_names_the_short_basis_element():
+    with pytest.raises(InsufficientOrderError) as exc:
+        decompose(_half_lowered_target(), [theta(0, 1, 3)], 4)
+    assert exc.value.max_order == 3
+
+
+def test_insufficient_order_counts_the_coefficient_order():
+    # the coefficient q^(-1/2) lowers what theta_{0,1} to order 4 certifies
+    with pytest.raises(InsufficientOrderError) as exc:
+        decompose(_half_lowered_target(), [theta(0, 1, 4)], 4)
+    assert exc.value.max_order == rat(7, 2)
+
+
 def test_soundness_residual_always_checked():
     # a target one step outside the span: residual must carry the witness
     target = theta(0, 1, 6) + Series.monomial(cyclo.ONE, rat(3), rat(5))

@@ -102,8 +102,8 @@ def test_int_rejects_even_level_and_negative_shift():
         numerator_half(1, -1, 4)
     with pytest.raises(ValueError, match=even):
         numerator(2, rat(1), 4)
-    # the rejection comes from the sector base, before anything is cached
-    assert ("num", 2, 1, 4) not in numerators._cache
+    # the rejection comes before anything is cached
+    assert ("num", 2, 1, 0, 4) not in numerators._cache
 
 
 def test_ladder_degenerate_level1():
