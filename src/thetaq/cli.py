@@ -13,7 +13,6 @@ import os
 import sys
 
 from ._rational import BACKEND, rat, rat_from_str, rat_str
-from .series import Series
 from .identities import (
     UnknownIdentityError,
     branch_product,
@@ -87,21 +86,31 @@ def _resolve(args):
     return order, fmt, jobs
 
 
-def _table(head, rows) -> str:
-    """A markdown table: the header cells, their rule, one line per row."""
-    return "\n".join("| " + " | ".join(map(str, r)) + " |"
-                     for r in [head, ["---"] * len(head), *rows])
+def _emit(fmt, obj, head, rows, lines, before=(), after=()):
+    """Print a command's output; the one place that tells the formats apart.
 
-
-def _emit_series(s: Series, fmt: str):
+    json prints ``obj``.  markdown prints the ``before`` blocks, the table of
+    ``rows`` under ``head`` and the ``after`` blocks, with a blank line
+    between blocks; a block's leading indentation, which text uses for
+    detail lines, is dropped.  text prints ``before``, ``lines`` and
+    ``after``, one line each.
+    """
     if fmt == "json":
-        print(json.dumps(s.json_obj(), indent=2))
+        print(json.dumps(obj, indent=2))
     elif fmt == "markdown":
-        print(_table(("qexp", "zexp", "coefficient"), (
-            (rat_str(q), rat_str(z), c) for q, z, c in s.monomials())))
+        table = "\n".join("| " + " | ".join(map(str, r)) + " |"
+                          for r in [head, ["---"] * len(head), *rows])
+        print("\n\n".join(b.lstrip() for b in (*before, table, *after)))
     else:
-        print(s.text())
+        for line in (*before, *lines, *after):
+            print(line)
 
+
+def _monomial_rows(s, *lead):
+    return ((*lead, rat_str(q), rat_str(z), c) for q, z, c in s.monomials())
+
+
+_MONOMIAL_HEAD = ("qexp", "zexp", "coefficient")
 
 # the argument shifts that ``theta`` and ``mumford`` take, with defaults
 _SHIFTS = {"qscale": "1", "zcoeff": "1", "tshift": "0", "cshift": "0"}
@@ -115,68 +124,27 @@ def cmd_expand(args) -> int:
     order, fmt, _ = _resolve(args)
     if order is None:
         order = rat(6)
-    kind = args.kind
-    if kind == "theta":
-        _emit_series(
-            theta(_frac(args.j), _frac(args.m), order, **_shifts(args)), fmt)
-    elif kind == "eta":
-        _emit_series(eta(_frac(args.scale), args.power, order), fmt)
-    elif kind == "mumford":
-        _emit_series(mumford(args.label, order, **_shifts(args)), fmt)
-    elif kind == "numerator":
-        _emit_series(numerator(args.m_level, _frac(args.s), order), fmt)
-    elif kind == "character":
-        _emit_series(character(args.m_level, args.m2, order), fmt)
-    elif kind == "ubasis":
+    if args.kind == "ubasis":
         basis = u_basis(args.m_level, args.sector, order)
-        if fmt == "json":
-            print(json.dumps([b.json_obj() for b in basis], indent=2))
-        elif fmt == "markdown":
-            print(_table(("generator", "qexp", "zexp", "coefficient"), (
-                (i, rat_str(q), rat_str(z), c)
-                for i, b in enumerate(basis) for q, z, c in b.monomials())))
-        else:
-            for i, b in enumerate(basis):
-                print(f"[{i}] {b.text()}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown kind {kind}")
+        _emit(fmt, [b.json_obj() for b in basis],
+              ("generator", *_MONOMIAL_HEAD),
+              (row for i, b in enumerate(basis) for row in _monomial_rows(b, i)),
+              (f"[{i}] {b.text()}" for i, b in enumerate(basis)))
+        return 0
+    s = {
+        "theta": lambda: theta(_frac(args.j), _frac(args.m), order,
+                               **_shifts(args)),
+        "eta": lambda: eta(_frac(args.scale), args.power, order),
+        "mumford": lambda: mumford(args.label, order, **_shifts(args)),
+        "numerator": lambda: numerator(args.m_level, _frac(args.s), order),
+        "character": lambda: character(args.m_level, args.m2, order),
+    }[args.kind]()
+    _emit(fmt, s.json_obj(), _MONOMIAL_HEAD, _monomial_rows(s), [s.text()])
     return 0
 
 
-def _report_lines(reports, fmt, timings):
-    if fmt == "json":
-        payload = {
-            "backend": BACKEND,
-            "reports": [r.json_obj(include_timing=timings) for r in reports],
-            "summary": summarize(reports),
-        }
-        return [json.dumps(payload, indent=2)]
-    lines = []
-    if fmt == "markdown":
-        lines.append(_table(
-            ("id", "kind", "status", "certified_order", "first_mismatch"),
-            ((r.id, r.kind, r.status, rat_str(r.certified_order),
-              "" if r.first_mismatch is None else
-              f"({rat_str(r.first_mismatch[0])}, {rat_str(r.first_mismatch[1])})")
-             for r in reports)))
-    else:
-        for r in reports:
-            extra = ""
-            if r.first_mismatch is not None:
-                extra = (f"  mismatch at (q^{rat_str(r.first_mismatch[0])}, "
-                         f"z^{rat_str(r.first_mismatch[1])})")
-            if r.error:
-                extra = f"  {r.error}"
-            lines.append(
-                f"{r.status.upper():5s} {r.id}  "
-                f"[order {rat_str(r.certified_order)}, {r.wall_ms:.0f} ms]{extra}"
-            )
-    counts = summarize(reports)
-    lines.append(
-        f"{counts['pass']} passed, {counts['fail']} failed, "
-        f"{counts['error']} errored, {counts['total']} total"
-    )
-    return lines
+def _qz(pair):
+    return f"(q^{rat_str(pair[0])}, z^{rat_str(pair[1])})"
 
 
 def cmd_verify(args) -> int:
@@ -192,10 +160,27 @@ def cmd_verify(args) -> int:
                 reports.append(run_identity(i, order))
             except UnknownIdentityError:
                 raise UsageError(f"unknown identity id: {i}") from None
-    for line in _report_lines(reports, fmt, args.timings):
-        print(line)
-    bad = [r for r in reports if r.status != "pass"]
-    return 1 if bad else 0
+    counts = summarize(reports)
+    _emit(
+        fmt,
+        {"backend": BACKEND,
+         "reports": [r.json_obj(include_timing=args.timings) for r in reports],
+         "summary": counts},
+        ("id", "kind", "status", "certified_order", "first_mismatch"),
+        ((r.id, r.kind, r.status, rat_str(r.certified_order),
+          "" if r.first_mismatch is None else
+          "({}, {})".format(*map(rat_str, r.first_mismatch)))
+         for r in reports),
+        (f"{r.status.upper():5s} {r.id}  "
+         f"[order {rat_str(r.certified_order)}, {r.wall_ms:.0f} ms]"
+         + (f"  {r.error}" if r.error else
+            "" if r.first_mismatch is None else
+            f"  mismatch at {_qz(r.first_mismatch)}")
+         for r in reports),
+        after=[f"{counts['pass']} passed, {counts['fail']} failed, "
+               f"{counts['error']} errored, {counts['total']} total"],
+    )
+    return 1 if any(r.status != "pass" for r in reports) else 0
 
 
 def _branch_label(text):
@@ -210,51 +195,35 @@ def cmd_branch(args) -> int:
     order, fmt, _ = _resolve(args)
     if order is None:
         order = rat(6)
-    left = _branch_label(args.left)
-    right = _branch_label(args.right)
-    labels, dec = branch_product(left, right, order)
-    payload = {
-        "left": f"{left[0]}:{left[1]}",
-        "right": f"{right[0]}:{right[1]}",
-        "basis": [f"{a}:{b}" for a, b in labels],
-        "decomposition": dec.json_obj(),
-    }
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-        return 0 if dec.status == "exact" else 1
-    md = fmt == "markdown"
-    print(f"{payload['left']} x {payload['right']} over "
-          + ", ".join(payload["basis"]))
-    print(("\n" if md else "") + f"status: {dec.status} (certified below "
-          f"{rat_str(dec.certified_order)})")
-    coeffs = [(f"{a}:{b}", c.text()) for (a, b), c in zip(labels, dec.coefficients)]
-    print("\n" + _table(("label", "coefficient"), coeffs) if md
-          else "\n".join(f"  coeff[{lbl}] = {text}" for lbl, text in coeffs))
-    if dec.witness is not None:
-        print(("\n" if md else "  ") + "unmatched monomial: "
-              f"(q^{rat_str(dec.witness[0])}, z^{rat_str(dec.witness[1])})")
+    pair = _branch_label(args.left), _branch_label(args.right)
+    labels, dec = branch_product(*pair, order)
+    left, right = (f"{m}:{m2}" for m, m2 in pair)
+    basis = [f"{m}:{m2}" for m, m2 in labels]
+    coeffs = [(lbl, c.text()) for lbl, c in zip(basis, dec.coefficients)]
+    _emit(
+        fmt,
+        {"left": left, "right": right, "basis": basis,
+         "decomposition": dec.json_obj()},
+        ("label", "coefficient"), coeffs,
+        (f"  coeff[{lbl}] = {text}" for lbl, text in coeffs),
+        before=[f"{left} x {right} over " + ", ".join(basis),
+                f"status: {dec.status} (certified below "
+                f"{rat_str(dec.certified_order)})"],
+        after=[] if dec.witness is None else
+        [f"  unmatched monomial: {_qz(dec.witness)}"],
+    )
     return 0 if dec.status == "exact" else 1
 
 
 def cmd_list(args) -> int:
     _, fmt, _ = _resolve(args)
-    rows = list_identities()
-    if fmt == "json":
-        print(json.dumps(
-            [
-                {"id": i, "kind": k, "default_order": rat_str(o), "anchor": a}
-                for i, k, o, a in rows
-            ],
-            indent=2,
-        ))
-    elif fmt == "markdown":
-        print(_table(("id", "kind", "default_order", "anchor"),
-                     ((i, k, rat_str(o), a) for i, k, o, a in rows)))
-        print(f"\n{len(rows)} identities")
-    else:
-        for i, k, o, a in rows:
-            print(f"{i:44s} {k:15s} order {rat_str(o):4s} {a}")
-        print(f"{len(rows)} identities")
+    head = ("id", "kind", "default_order", "anchor")
+    rows = [(i, k, rat_str(o), a) for i, k, o, a in list_identities()]
+    _emit(
+        fmt, [dict(zip(head, r)) for r in rows], head, rows,
+        (f"{i:44s} {k:15s} order {o:4s} {a}" for i, k, o, a in rows),
+        after=[f"{len(rows)} identities"],
+    )
     return 0
 
 

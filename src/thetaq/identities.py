@@ -181,19 +181,6 @@ def _shifted(build, qpow, zpow=R0, coeff=cyclo.ONE):
     return lambda o: build(o - qpow).times_monomial(coeff, qpow, zpow)
 
 
-def _denominator_times(*labels):
-    """``order -> derived_denominator * product of the characters labels``;
-    the denominator's negative order is covered by the checks' ``_HEAD``."""
-
-    def b(o):
-        out = derived_denominator(o)
-        for lbl in labels:
-            out = out * character(*lbl, o)
-        return out
-
-    return b
-
-
 def branch_product(left, right, order):
     """Decompose a product of two supported characters over the characters
     of the summed level with matching label parity; returns the basis
@@ -610,11 +597,8 @@ def _pindep_case(m: int, sector: str):
             try:
                 f = build(m, p, order)
             except DegenerateDivisorError:  # then the undivided sum must vanish
-                comb = undivided_half_combination(m, p, order).restrict(order)
-                if comb.is_zero_series():
-                    return True, None
-                q, z, _ = comb.monomials()[0]
-                return False, (q, z)
+                return undivided_half_combination(m, p, order).equal_up_to(
+                    Series.zero(), order)
             return base.equal_up_to(f, order)
 
         return _first_failure(agrees(p) for p in (1, 2))
@@ -631,10 +615,6 @@ def _build_s4(reg):
         _add(reg, f"S4.pindep.m{m}.int", "p-independence", 4,
              f"integer-sector numerator shift-independence, level {m}",
              _pindep_case(m, "integer"))
-
-
-def _ub(m, sector):
-    return lambda k: u_basis(m, sector, k)
 
 
 def _vgens(m, sector):
@@ -681,17 +661,17 @@ def _build_s5(reg):
             _add(reg, f"S5.member.half.m{m}.p{p}", "membership", 4,
                  f"shifted half-sector ratio pair in the level-{m} span, p={p}",
                  membership_check(_gen(ratio_pair, 2 * p + rat(1, 2), m + 1),
-                                  _ub(m, "half")))
+                                  _gen(u_basis, m, "half")))
     for m in (1, 3):
         for p in (-2, -1, 0, 1, 2):
             _add(reg, f"S5.member.int.m{m}.p{p}", "membership", 4,
                  f"shifted integer-sector ratio pair in the level-{m} span, p={p}",
                  membership_check(_gen(ratio_pair, 2 * p + rat(1, 2) + m, m + 1),
-                                  _ub(m, "integer")))
+                                  _gen(u_basis, m, "integer")))
             _add(reg, f"S5.member707a.m{m}.p{p}", "membership", 4,
                  f"odd-level alternative ratio pair in the integer span, p={p}",
                  membership_check(_gen(ratio_pair, 2 * p - rat(1, 2), m + 1),
-                                  _ub(m, "integer")))
+                                  _gen(u_basis, m, "integer")))
 
     # simpler characterization of the odd-level integer span
     for m in (1, 3):
@@ -702,18 +682,18 @@ def _build_s5(reg):
 
         _add(reg, f"S5.simpler.m{m}", "span", 4,
              f"two presentations of the level-{m} integer-sector span",
-             span_check(_ub(m, "integer"), alt))
+             span_check(_gen(u_basis, m, "integer"), alt))
 
     # U = V
     for m in (1, 2, 3, 4):
         _add(reg, f"S5.UeqV.m{m}.half", "span", 4,
              f"numerator family spans the half-sector quotient space, level {m}",
-             span_check(_vgens(m, "half"), _ub(m, "half")))
+             span_check(_vgens(m, "half"), _gen(u_basis, m, "half")))
     for m in (1, 3):
         _add(reg, f"S5.UeqV.m{m}.integer", "span", 4,
              f"numerator family spans the integer-sector quotient space, "
              f"level {m}",
-             span_check(_vgens(m, "integer"), _ub(m, "integer")))
+             span_check(_vgens(m, "integer"), _gen(u_basis, m, "integer")))
 
     # closure of brackets under low-degree theta multiplication
     # n = 2 with odd j is excluded: the single theta_{1,2} times a bracket
@@ -732,7 +712,7 @@ def _build_s5(reg):
                          f"{sector} span",
                          membership_check(
                              _prod(_gen(theta, j, n), _gen(bracket, k, m)),
-                             _ub(m + n, sector),
+                             _gen(u_basis, m + n, sector),
                          ))
 
     # explicit multiplication of ratio pairs by low-degree thetas:
@@ -835,7 +815,7 @@ def _build_s5(reg):
              f"level-{lbl[0]} character (label {lbl[1]}) times the level-{m} "
              f"{sector} numerator lands in the level-{m2} {sector2} span",
              membership_check(_prod(_gen(character, *lbl), _gen(base, m, 0)),
-                              _ub(m2, sector2)))
+                              _gen(u_basis, m2, sector2)))
 
     # products of characters stay inside the character spaces
     conj_pairs = {
@@ -866,8 +846,10 @@ def _build_s5(reg):
                 _add(reg, cid, "membership", 4,
                      f"denominator times character product lands in the "
                      f"level-{lvl} {sector} span",
-                     membership_check(_denominator_times(left, right),
-                                      _ub(lvl, sector)))
+                     membership_check(
+                         _prod(_gen(derived_denominator),
+                               _gen(character, *left), _gen(character, *right)),
+                         _gen(u_basis, lvl, sector)))
 
     # derived denominator structure and uses
     def zcoset_run(order):
@@ -886,14 +868,15 @@ def _build_s5(reg):
          "denominator times even level-2 characters spans the level-2 "
          "numerator family",
          span_check(
-             lambda k: [_denominator_times((2, m2))(k) for m2 in (0, 2)],
+             lambda k: [derived_denominator(k) * character(2, m2, k)
+                        for m2 in (0, 2)],
              lambda k: [numerator(2, s, k) for s in (rat(1, 2), rat(3, 2))],
          ))
     _add(reg, "S5.denominator.prop.m1-1", "membership", 4,
          "denominator times the odd level-1 character is proportional to the "
          "level-1 integer numerator",
          membership_check(
-             _denominator_times((1, 1)),
+             _prod(_gen(derived_denominator), _gen(character, 1, 1)),
              lambda k: [numerator(1, rat(1), k)],
          ))
 

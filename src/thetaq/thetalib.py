@@ -57,8 +57,6 @@ def _below(a, b, c):
     The condition reads (2ak + b)^2 < disc = b^2 - 4ac; ``u`` is the largest
     integer strictly below sqrt(disc), and |2ak + b| <= u.
     """
-    if a <= 0:
-        raise ValueError("divergent truncation: quadratic not bounded below")
     disc = b * b - 4 * a * c
     if disc <= 0:
         return range(0)

@@ -11,7 +11,9 @@ import thetaq
 from thetaq import identities
 from thetaq._rational import rat
 from thetaq.cli import main
+from thetaq.linsolve import Decomposition
 from thetaq.series import InsufficientOrderError
+from thetaq.thetalib import eta
 
 
 def run_cli(*argv, capsys=None):
@@ -212,6 +214,8 @@ def _raising(order):
      _has("| id | kind | status | certified_order | first_mismatch |\n"
           "| --- | --- | --- | --- | --- |\n"
           "| S2.squares.item3 | equality | pass | 6 |  |")),
+    (["verify", "--id", "S2.squares.item3", "--format", "markdown"], _failing, 1,
+     _has("| S2.squares.item3 | equality | fail | 6 | (1/2, -1) |\n")),
     (["list", "--format", "json"], None, 0,
      _json_keys("id", "kind", "default_order", "anchor")),
     (["expand", "mumford", "--label", "10", "--order", "2"], None, 0,
@@ -239,8 +243,8 @@ def _raising(order):
       "--format", "markdown"], None, 0,
      _has("| generator | qexp | zexp | coefficient |\n| --- | --- | --- | --- |\n"
           "| 0 | 45/64 | -2 | -1 |\n")),
-], ids=["expand-markdown", "verify-markdown", "list-json", "expand-mumford",
-        "expand-ubasis-json", "verify-fail-status", "verify-mismatch-suffix",
+], ids=["expand-markdown", "verify-markdown", "verify-markdown-fail", "list-json",
+        "expand-mumford", "expand-ubasis-json", "verify-fail-status", "verify-mismatch-suffix",
         "verify-error-status", "verify-error-suffix", "list-markdown",
         "branch-markdown", "expand-ubasis-markdown"])
 def test_output_paths(capsys, monkeypatch, argv, run, rc, check):
@@ -253,6 +257,50 @@ def test_output_paths(capsys, monkeypatch, argv, run, rc, check):
     got, out, _ = run_cli(*argv, capsys=capsys)
     assert got == rc
     check(out)
+
+
+@pytest.mark.parametrize("fmt, expected", [
+    ("text", "1:0 x 1:1 over 2:1\nstatus: not-in-span (certified below 2)\n"
+             "  coeff[2:1] = q^(1/24) - q^(25/24)\n"
+             "  unmatched monomial: (q^1/2, z^-1)\n"),
+    ("markdown", "1:0 x 1:1 over 2:1\n\nstatus: not-in-span (certified below 2)"
+                 "\n\n| label | coefficient |\n| --- | --- |\n"
+                 "| 2:1 | q^(1/24) - q^(25/24) |\n\n"
+                 "unmatched monomial: (q^1/2, z^-1)\n"),
+])
+def test_branch_prints_the_witness_of_a_failed_decomposition(
+        capsys, monkeypatch, fmt, expected):
+    def not_in_span(left, right, order):
+        e = eta(1, 1, 2)
+        return [(2, 1)], Decomposition(
+            [e], e, "not-in-span", rat(2), (rat(1, 2), rat(-1)))
+
+    monkeypatch.setattr("thetaq.cli.branch_product", not_in_span)
+    rc, out, _ = run_cli("branch", "--left", "1:0", "--right", "1:1",
+                         "--order", "2", "--format", fmt, capsys=capsys)
+    assert rc == 1
+    assert out == expected
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    (None, ["list"], "cannot read config"),
+    ("{not json", ["list"], "cannot read config"),
+    ("[1, 2]", ["list"], "config must be a JSON object"),
+    ("{}", ["list", "--jobs", "0"], "--jobs must be a positive integer"),
+    ("{}", ["expand", "eta", "--order", "0"], "--order must be positive"),
+    ("{}", ["expand", "eta", "--order", "-1"], "--order must be positive"),
+    ("{}", ["branch", "--left", "1-0", "--right", "1:1"],
+     "label must look like m:m2, got '1-0'"),
+], ids=["config-missing", "config-not-json", "config-array", "jobs-zero",
+        "order-zero", "order-negative", "branch-label"])
+def test_usage_errors_exit_2(tmp_path, capsys, config, argv, message):
+    path = tmp_path / "cfg.json"
+    if config is not None:  # None: the config file does not exist
+        path.write_text(config)
+    rc, out, err = run_cli("--config", str(path), *argv, capsys=capsys)
+    assert rc == 2
+    assert out == ""
+    assert message in err
 
 
 def test_invalid_order(capsys):

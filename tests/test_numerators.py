@@ -106,6 +106,14 @@ def test_int_rejects_even_level_and_negative_shift():
     assert ("num", 2, 1, 0, 4) not in numerators._cache
 
 
+def test_half_integer_parameters_only():
+    with pytest.raises(ValueError, match="s must be a half-integer"):
+        numerator(2, rat(1, 3), 4)
+    with pytest.raises(ValueError,
+                       match="ladder parameter s must be a half-integer"):
+        ladder_step(2, rat(1, 3), 4)
+
+
 def test_ladder_degenerate_level1():
     assert_equal_series(numerator(1, rat(1, 2), 4), numerator(1, rat(3, 2), 4), 4)
 
@@ -305,6 +313,25 @@ def test_numerator_golden_digest(sector, m):
     text = json.dumps(build(m, 0, 4).json_obj(), sort_keys=True,
                       separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == NUMERATOR_SHA256[sector, m]
+
+
+# sha256 of json_obj() (as above) of F[m, s] above its sector base at order
+# 6: the registry's ladder cases build both sides through ``ladder_step``,
+# so these pins are what fixes the upward walk
+LADDER_SHA256 = {
+    (2, rat(5, 2)): "5fe2c68f273bf9ef12214f116de2678e873fc462d8720edcc8937bd55fd8107d",
+    (3, rat(3, 2)): "3307db59208c311807b1119591dd388f4b9b1d2d4f2f96a3372c568fe2888720",
+    (4, rat(5, 2)): "e06a1e591884cdb41e1ad751354a96d938febc86975ecb7ec71d6c45fa75cebd",
+    (3, rat(3)): "a86e174eb98340db04c23d994ee36504a09d917b6a38a11c836cf16c527d541d",
+    (5, rat(4)): "eee1227d86e352fddb318d9afccf7f9e40bfc9d16cc062f72a845efce50f60ee",
+}
+
+
+@pytest.mark.parametrize("m,s", sorted(LADDER_SHA256), ids=str)
+def test_upward_ladder_golden_digest(m, s):
+    text = json.dumps(numerator(m, s, 6).json_obj(), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == LADDER_SHA256[m, s]
 
 
 # sha256 of json_obj() (as above) of large builds, pinned from all-Fraction

@@ -103,6 +103,22 @@ def test_inverse_rejects_two_monomial_layer():
         mumford("10", 4).inverse()
 
 
+def test_inverse_of_zero_series_raises():
+    with pytest.raises(NonUnitLeadingError):
+        Series.zero(3).inverse()
+
+
+def test_times_zero_is_exact_zero():
+    z = theta(0, 1, 4).times_monomial(cyclo.ZERO)
+    assert z.is_zero_series()
+    assert z.cutoff == INF
+
+
+def test_equality_compares_cutoffs():
+    # same terms below 3, but one is trusted further
+    assert (theta(0, 1, 4).restrict(3) == theta(0, 1, 4)) is False
+
+
 def test_inverse_of_exact_needs_order():
     g = S([(0, 0, 1), (1, 0, -1)])  # infinite trust
     with pytest.raises(ValueError):
@@ -253,6 +269,9 @@ def test_text_and_json_forms():
     assert Series.zero(rat(2)).text() == "0"
     minus = S([(0, 0, 1), (1, 0, -2)])
     assert minus.text() == "1 - 2 * q^(1)"
+    w = CycloNum(1, 1)
+    two = Series({(rat(0), rat(0)): w, (rat(1), rat(0)): w})
+    assert two.text() == "1 + w + (1 + w) * q^(1)"
 
 
 # -- the int-over-den representation, on exponent denominators (5, 7) that

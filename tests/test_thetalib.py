@@ -68,6 +68,13 @@ def test_theta_pm_plus_is_plain_projection():
         assert tp.terms == proj.terms
 
 
+def test_theta_pm_rejects_bad_sign_and_degree():
+    with pytest.raises(ValueError, match="sign must be"):
+        theta_pm(0, 1, 1, 4)
+    with pytest.raises(ValueError, match="theta degree must be positive"):
+        theta_pm(1, 1, 0, 4)
+
+
 def test_theta_pm_minus():
     tp = theta_pm(-1, 0, 1, 5)
     assert tp.text() == "1 - 2 * q^(1) + 2 * q^(4)"
