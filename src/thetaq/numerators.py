@@ -403,17 +403,20 @@ def _character_raw(m, m2, order):
     if m == 2 and m2 == 1:
         s = eta(2, 1, k) * eta(rat(1, 2), -1, k) * eta(1, -1, k) * mumford("10", k)
         return s.times_monomial(cyclo.I)
+    # the labels of one level below share every part but the sign
     if m == 2:
-        a = eta(rat(1, 2), 1, k) * eta(1, -1, k) * eta(2, -1, k) * mumford("01", k)
-        b = eta(rat(1, 2), -1, k) * eta(2, -1, k) * mumford("00", k)
+        a, b = _cached(("charparts", m, k), lambda: (
+            eta(rat(1, 2), 1, k) * eta(1, -1, k) * eta(2, -1, k) * mumford("01", k),
+            eta(rat(1, 2), -1, k) * eta(2, -1, k) * mumford("00", k)))
         sgn = cyclo.ONE if m2 == 0 else cyclo.MINUS_ONE
         return (a + b.times_monomial(sgn)).times_monomial(
             cyclo.CycloNum(rat(-1, 2))
         )
     # m == 4
-    pref = eta(rat(1, 2), -1, k) * eta(2, -1, k)
-    a = mumford("01", k) * mumford("10", k)
-    b = eta(2, 1, k) * eta(1, -2, k) * mumford("00", k) * mumford("10", k)
+    pref, a, b = _cached(("charparts", m, k), lambda: (
+        eta(rat(1, 2), -1, k) * eta(2, -1, k),
+        mumford("01", k) * mumford("10", k),
+        eta(2, 1, k) * eta(1, -2, k) * mumford("00", k) * mumford("10", k)))
     sgn = cyclo.ONE if m2 == 1 else cyclo.MINUS_ONE
     s = pref * (a + b.times_monomial(sgn))
     return s.times_monomial(cyclo.CycloNum(R0, R0, rat(1, 2)))
@@ -438,10 +441,4 @@ def derived_denominator(order) -> Series:
         return s.times_monomial(cyclo.MINUS_ONE)
 
     return _cached(("rden", order), build)
-
-
-def denominator_z_coset(order):
-    """Distinct zeta-exponent residues (mod 1) of the derived denominator."""
-    r = derived_denominator(order)
-    return sorted({z - z.__floor__() for _, z, _ in r.monomials()})
 

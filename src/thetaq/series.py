@@ -31,17 +31,28 @@ Cutoffs propagate pessimistically:
 * product:  min(a.cutoff + ord(b), b.cutoff + ord(a));
 * inverse:  cutoff - 2*ord.
 
-Products are truncated convolutions of the component dicts in four
-accumulators (:func:`_convolve`).  A product by one monomial
+Products have two kernels, chosen by the size rule ``_DENSE``: when both
+operands hold at least ``_DENSE[0]`` component terms and the two counts
+multiply to at least ``_DENSE[1]``, :func:`_packed_product`; otherwise
+:func:`_convolve`, the truncated convolution of the component lists in
+four accumulators, one multiply-add per term pair.  The packed kernel puts
+each q-layer's z-polynomial into one int (Kronecker substitution; D.
+Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symb. Comput. 44, 2009), so one int product covers a
+pair of layers.  Its values are cleared of denominators first, and a slot
+is bitlen(S_x * S_y) + 1 bits wide, S the sum of an operand's |values|,
+which no output coefficient can exceed.  A product by one monomial
 (``times_monomial``, the inverse's scalings) shifts the keys and scales
 the values (:func:`_shift`): component c_j of the coefficient moves
 component i to i + j, and with one nonzero c_j the shifted lists stay
 sorted, so the result keeps them.  Inverses use the reciprocal recurrence
 over q-layers in one pass (Brent & Kung, "Fast algorithms for manipulating
-formal power series", J. ACM 25, 1978), not a sum of powers.  The
-generators sum their eighth turns into the same accumulators
-(:func:`_add_turn`), and :func:`_gather` turns accumulators into the dicts
-of a series.
+formal power series", J. ACM 25, 1978), not a sum of powers, on the same
+packed layers (:func:`_packed_reciprocal`); there each layer keeps one
+residue class of slots, and the layers already unpacked bound the width
+of the next one's.  The generators sum their eighth turns into
+the accumulators (:func:`_add_turn`), and :func:`_gather` turns
+accumulators into the dicts of a series.
 
 ``ord`` here means the smallest stored q-exponent, or the cutoff itself for
 a series with no stored terms (all that is known of such a series is that
@@ -75,6 +86,12 @@ class InsufficientOrderError(ValueError):
 
 class NonUnitLeadingError(ValueError):
     """Inversion needs a single-monomial lowest q-layer."""
+
+
+#: the size rule of the product kernels (see the module docstring): the
+#: least component terms of each operand, and of the two counts' product,
+#: for which packed layers beat one multiply-add per term pair
+_DENSE = (10, 2000)
 
 
 def _grid_bound(x, den):
@@ -183,6 +200,185 @@ def _convolve(acc, xs, ys, hi, negate=False):
                         break
                     k = (qa + qb, za + zb)
                     t[k] = t.get(k, 0) + x * y
+
+
+def _unpack(p, w):
+    """``(slot, c)`` for the nonzero signed slots of ``p``, ascending: slot
+    s holds c in bits [w*s, w*s + w), with |c| < 2^(w-1).  An empty slot
+    jumps to the lowest set bit, so runs of them cost one step."""
+    half, full = 1 << (w - 1), 1 << w
+    mask = full - 1
+    s = 0
+    while p:
+        c = p & mask
+        if not c:
+            k = ((p & -p).bit_length() - 1) // w
+            p >>= k * w
+            s += k
+            c = p & mask
+        p >>= w
+        if c >= half:  # a negative slot borrowed one from the next
+            c -= full
+            p += 1
+        yield s, c
+        s += 1
+
+
+def _packed_product(xs, ys, hi):
+    """The component dicts of the product of two series, given as four
+    ascending component lists of ``(q, z, c)`` each, below ``hi``, with
+    each q-layer packed into one int (Kronecker substitution).
+
+    Each operand's values are cleared of denominators (times d_x, d_y).
+    The coefficient at z goes in slot (z - z0)/g of its layer, z0 the
+    operand's least z and g the gcd of every z - z0 in both operands, and
+    every slot is bitlen(S_x * S_y) + 1 bits wide, S the sum of the cleared
+    |c|: no output coefficient exceeds S_x * S_y, so no slot overflows.
+    One int product per pair of layers below ``hi`` then stands for all
+    its term pairs, and the layers meeting at one q add up packed."""
+    zx, zy = ({z for part in v for _, z, _ in part} for v in (xs, ys))
+    zx0, zy0 = min(zx), min(zy)
+    g = gcd(*(z - zx0 for z in zx), *(z - zy0 for z in zy)) or 1
+    ops = []
+    for v, z0 in ((xs, zx0), (ys, zy0)):
+        d = lcm(*{c.denominator for part in v for _, _, c in part
+                  if type(c) is not int})
+        ops.append((v, z0, d, sum(
+            abs(c) * d if type(c) is int
+            else abs(c.numerator) * (d // c.denominator)
+            for part in v for _, _, c in part)))
+    (_, _, dx, sx), (_, _, dy, sy) = ops
+    w = (sx * sy).bit_length() + 1
+    packed = []
+    for v, z0, d, _ in ops:
+        comps = []
+        for part in v:
+            layers: dict = {}
+            for q, z, c in part:
+                c = (c * d if type(c) is int
+                     else c.numerator * (d // c.denominator))
+                layers[q] = layers.get(q, 0) + (c << w * ((z - z0) // g))
+            comps.append(list(layers.items()))
+        packed.append(comps)
+    acc = ({}, {}, {}, {})
+    for i, xl in enumerate(packed[0]):
+        if not xl:
+            continue
+        for j, yl in enumerate(packed[1]):
+            if not yl:
+                continue
+            t = acc[(i + j) & 3]
+            neg = i + j >= 4  # w^4 = -1
+            for qa, x in xl:
+                if neg:
+                    x = -x
+                qmax = hi - qa
+                for qb, y in yl:
+                    if qb >= qmax:
+                        break
+                    t[qa + qb] = t.get(qa + qb, 0) + x * y
+    d, z0 = dx * dy, zx0 + zy0
+    return tuple({(q, z0 + g * s): c if d == 1 else
+                  c // d if not c % d else rat(c, d)
+                  for q, p in t.items() for s, c in _unpack(p, w)}
+                 for t in acc)
+
+
+def _pack(terms, w):
+    """``[(i, int)]`` of ``(i, slot, c)`` terms: component i's values, slot
+    s holding c in bits [w*s, w*s + w)."""
+    acc = [0, 0, 0, 0]
+    for i, s, c in terms:
+        acc[i] += c << w * s
+    return [(i, p) for i, p in enumerate(acc) if p]
+
+
+def _packed_reciprocal(xs, bound):
+    """The four ascending component lists of y = 1/(1 - x) below ``bound``,
+    x given by its component dicts ``{(k, z): c}`` (keys at k = 0 are
+    skipped), on packed q-layers.
+
+    The layers obey y_0 = 1 and y_e = sum_{0<k<=e} x_k y_{e-k}; with
+    n = e/step, step = gcd(k), every y_e is a sum of products of layers
+    of x.  Slot positions: with a/b the least z/k over x, u = b*z - a*k
+    is additive and >= 0.  The (n, u) of the terms span a lattice of
+    determinant t, so layer n's u all lie in one class off_n mod t, and u
+    goes in slot (u - off_n)/t of layer n's int; a product of layers whose
+    offsets sum past t shifts up one slot.  Layer k of x is scaled by
+    D^(k/step), D the lcm of its denominators, so that every layer is
+    integral and y_e comes out scaled by D^(e/step).  Slot width: every
+    coefficient of y_e is at most sum_k |x_k|_1 * max|y_{e-k}|, from the
+    layers already unpacked, and the slots widen (every layer repacked)
+    when that bound outgrows them.
+    """
+    ys = ([], [], [], [])
+    if bound <= 0:
+        return ys
+    xt = [(i, k, z, c) for i, d in enumerate(xs) for (k, z), c in d.items()
+          if k]
+    if not xt:
+        ys[0].append((0, 0, 1))
+        return ys
+    step = gcd(*(k for _, k, _, _ in xt))
+    a, b = xt[0][2], xt[0][1]
+    for _, k, z, _ in xt:
+        if z * b < a * k:
+            a, b = z, k
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    pts = {(k // step, b * z - a * k) for _, k, z, _ in xt}
+    t = gcd(*(n1 * u2 - n2 * u1 for n1, u1 in pts for n2, u2 in pts)) or 1
+    dd = lcm(*{c.denominator for *_, c in xt if type(c) is not int})
+    # layer n of x -> (offset, [(i, slot, component i scaled to an int)])
+    cleared: dict = {}
+    for i, k, z, c in xt:
+        n, u = k // step, b * z - a * k
+        if dd != 1:
+            s = dd ** n
+            c = c * s if type(c) is int else c.numerator * (s // c.denominator)
+        cleared.setdefault(n, (u % t, []))[1].append((i, u // t, c))
+    top = (bound - 1) // step  # every layer of x has n <= top
+    layers = sorted(cleared.items())
+    sizes = [(m, sum(abs(c) for *_, c in xn)) for m, (_, xn) in layers]
+    vals = [[(0, 0, 1)]]  # n -> [(component, slot, c)] of y_{n*step}
+    off, peak = [0], [1]  # n -> offset, max |c| of vals[n]
+    w = 2
+    y = [[(0, 1)]]  # vals packed
+    xp = [(m, o, _pack(xn, w)) for m, (o, xn) in layers]
+    for n in range(1, top + 1):
+        lim = sum(s * peak[n - m] for m, s in sizes if m <= n)
+        if lim >> (w - 1):  # widen, leaving room to grow
+            w = lim.bit_length() + 9
+            xp = [(m, o, _pack(xn, w)) for m, (o, xn) in layers]
+            y = [_pack(v, w) for v in vals]
+        acc = [0, 0, 0, 0]
+        on = None
+        for m, om, xm in xp:
+            if m > n:
+                break
+            if not y[n - m]:
+                continue
+            o = om + off[n - m]
+            if on is None:
+                on = o % t
+            sh = w if o - on else 0
+            for j, py in y[n - m]:
+                for i, px in xm:
+                    if i + j < 4:
+                        acc[i + j] += px * py << sh
+                    else:  # w^4 = -1
+                        acc[i + j - 4] -= px * py << sh
+        off.append(on)
+        y.append([(i, p) for i, p in enumerate(acc) if p])
+        vals.append([(i, s, c) for i, p in y[-1] for s, c in _unpack(p, w)])
+        peak.append(max((abs(c) for *_, c in vals[-1]), default=0))
+    for n, vn in enumerate(vals):
+        e, div = n * step, dd ** n
+        for j, s, c in vn:
+            u = off[n] + t * s
+            ys[j].append((e, (u + a * e) // b, c if div == 1 else
+                          c // div if not c % div else rat(c, div)))
+    return ys
 
 
 def align(series_list, order):
@@ -358,8 +554,12 @@ class Series:
             return Series.zero(bound)
         den = lcm(self.den, other.den)
         hi = _grid_bound(bound, den)
+        xs, ys = self._lists_at(den), other._lists_at(den)
+        nx, ny = sum(map(len, xs)), sum(map(len, ys))
+        if min(nx, ny) >= _DENSE[0] and nx * ny >= _DENSE[1]:
+            return _series(_packed_product(xs, ys, hi), den, bound)
         acc = ({}, {}, {}, {})
-        _convolve(acc, self._lists_at(den), other._lists_at(den), hi)
+        _convolve(acc, xs, ys, hi)
         return _series(_gather(acc), den, bound)
 
     def times_monomial(self, coeff: CycloNum, dq=R0, dz=R0) -> Series:
@@ -384,9 +584,9 @@ class Series:
         With self = M (1 + x), M the leading monomial, the layers of
         y = 1/(1 + x) follow from the reciprocal recurrence (Brent & Kung,
         J. ACM 25, 1978): y_0 = 1 and y_e = -sum_{0<k<=e} x_k y_{e-k}, each
-        x_k and y_e a Laurent polynomial in z.  The result is M^{-1} y.
-        -x and the result are each a shift by -M^{-1} or M^{-1}
-        (:func:`_shift`).
+        x_k and y_e a Laurent polynomial in z, each packed into ints
+        (:func:`_packed_reciprocal`).  The result is M^{-1} y.  -x and the
+        result are each a shift by -M^{-1} or M^{-1} (:func:`_shift`).
         """
         if self.is_zero_series():
             raise NonUnitLeadingError("cannot invert a series with no terms")
@@ -414,37 +614,7 @@ class Series:
         ytop = target + rat(qa, den)
         bound = _grid_bound(ytop, den)
         mx = _shift(self._lists(), -inv_lead, -qa, -za, bound, den, ytop)
-        # k -> [(i, z, component i of the -x coefficient)] for 0 < k < bound
-        layers: dict = {}
-        for i, d in enumerate(mx._comps):
-            for (k, z), c in d.items():
-                if k:  # the layer k = 0 is M's own
-                    layers.setdefault(k, []).append((i, z, c))
-        steps = sorted(layers.items())
-        y: dict = {}  # e -> four {z: component i} dicts
-        # only sums of x's exponents, multiples of their gcd, carry a term
-        for e in range(0, bound, gcd(*layers) or max(bound, 1)):
-            acc = ({}, {}, {}, {}) if e else ({0: 1}, {}, {}, {})
-            for k, xk in steps:
-                if k > e:
-                    break
-                yd = y.get(e - k)
-                if yd is None:
-                    continue
-                for i, zx, cx in xk:
-                    for j, dj in enumerate(yd):
-                        t = acc[(i + j) & 3]
-                        x = -cx if i + j >= 4 else cx  # w^4 = -1
-                        for zy, cy in dj.items():
-                            zz = zx + zy
-                            t[zz] = t.get(zz, 0) + x * cy
-            ye = _gather(acc)
-            if any(ye):
-                y[e] = ye
-        ys = ([], [], [], [])
-        for e, ye in y.items():
-            for part, d in zip(ys, ye):
-                part.extend((e, z, c) for z, c in sorted(d.items()))
+        ys = _packed_reciprocal(mx._comps, bound)
         return _shift(ys, inv_lead, -qa, -za, INF, den, target)
 
     # -- comparison ---------------------------------------------------------

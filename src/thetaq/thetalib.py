@@ -21,11 +21,12 @@ each root-of-unity coefficient as an eighth turn w^u, and sums the turns in
 the series layer's component accumulators (``_add_turn``, ``_gather``).  A
 theta coset n0 + Z is walked through the integers N = d0*n, with the exact
 index range from an integer quadratic inequality (:func:`_below`).  The eta
-product is not multiplied out: prod (1 - q^{cn}) is Euler's pentagonal
-series sum (-1)^k q^{ck(3k-1)/2} (L. Euler, "Demonstratio theorematis circa
+product is not multiplied out: prod (1 - q^n) is Euler's pentagonal
+series sum (-1)^k q^{k(3k-1)/2} (L. Euler, "Demonstratio theorematis circa
 ordinem in summis divisorum observatum", Novi Comm. Acad. Sci. Petrop. 5,
 1760), built by the same coset walk as a theta, with n0 = 0 and
-(-1)^k = w^(4k).
+(-1)^k = w^(4k).  Its e-th power is built once per exponent, and every
+eta(c tau)^e is a rescale of it.
 """
 
 from __future__ import annotations
@@ -132,8 +133,12 @@ def eta(c, e, order) -> Series:
     """eta(c * tau)^e below ``order`` for an integer ``e``, built once per
     process for each set of arguments as given (see :func:`theta`).
 
-    prod (1 - q^{cn}) is Euler's series, a coset sum; other powers are
-    products of it, negative powers its recurrence inverse.
+    Every scale c and order reads one Euler power per exponent e: the
+    table entry ``("euler", e)`` holds prod (1 - q^n)^e, Euler's series (a
+    coset sum) to the power e, a product of it for e > 1 and its
+    recurrence inverse for e < 0.  The entry is rebuilt higher only when a
+    request needs more, and eta(c * tau)^e is its q -> q^c rescale times
+    q^{ce/24}.
     """
     return _cached(("eta", c, e, order), lambda: _eta(rat(c), e, rat(order)))
 
@@ -147,15 +152,26 @@ def _eta(c, e, order) -> Series:
     if e == 0:
         return Series.one(order)
     shift = c * e * rat(1, 24)
-    bound = order - shift
-    if bound <= 0:
+    top = (order - shift) / c  # the bound on the Euler power's exponents
+    if top <= 0:
         return Series.zero(order)
-    f = pw = _coset_sum(R0, 3 * c / 2, -c / 2, R0, bound, 0, 4)
-    for _ in range(abs(e) - 1):
-        pw = pw._mul_trunc(f, bound)
-    if e < 0:
-        pw = pw.inverse(order=bound)
-    return pw.times_monomial(cyclo.ONE, shift, R0)
+    hi = math.ceil(top)  # Euler's exponents are integers, over den 1
+    pw = _cache.get(("euler", e))
+    if pw is None or pw.cutoff < hi:
+        bound = rat(hi)
+        f = pw = _coset_sum(R0, rat(3, 2), rat(-1, 2), R0, bound, 0, 4)
+        for _ in range(abs(e) - 1):
+            pw = pw._mul_trunc(f, bound)
+        if e < 0:
+            pw = pw.inverse(order=bound)
+        _cache[("euler", e)] = pw
+    # exponent n -> c*n + shift, an integer over den
+    den = math.lcm(c.denominator, shift.denominator)
+    f = c.numerator * (den // c.denominator)
+    s0 = shift.numerator * (den // shift.denominator)
+    comps = tuple({(n * f + s0, 0): v for (n, _), v in d.items() if n < hi}
+                  for d in pw._comps)
+    return _series(*_reduced(comps, den), order)
 
 
 _MUMFORD_PARTS = {

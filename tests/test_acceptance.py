@@ -219,22 +219,37 @@ def test_criterion10_determinism_of_verify_all():
           f"{payload['summary']['total']} reports)")
 
 
-# sha256 of the raw stdout of `verify --all --order 10 --format json --jobs
+# sha256 of the raw stdout of `verify --all --order N --format json --jobs
 # 2`; at order 10 every case reaches deeper into the triple sums and
-# eliminations than at the default orders, so this pins them there too
-VERIFY_ALL_ORDER10_SHA256 = (
-    "82a24d519daf9513b3784bd2db36b9ff5120e557c8f8686c840fc3fc2a4538b6"
-)
+# eliminations than at the default orders, and at orders 14 and 24 the
+# products, inverses and etas are long enough for the packed-layer kernels
+# and the rebuilt Euler powers, so this pins them there too
+VERIFY_ALL_ORDER_SHA256 = {
+    10: "82a24d519daf9513b3784bd2db36b9ff5120e557c8f8686c840fc3fc2a4538b6",
+    14: "8cad1fe5e270e309e4f1170f10ce843ed437ae1b22898a4d0f1b3995ff7bc083",
+    24: "cc502bb415dbc271d0c59f19f05dfd4fef5f9957f2750bf9f206b7b169517c38",
+}
+
+
+def _verify_all_digest(order):
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetaq.cli", "verify", "--all", "--order",
+         str(order), "--format", "json", "--jobs", "2"],
+        capture_output=True, timeout=1200,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    return hashlib.sha256(proc.stdout).hexdigest()
 
 
 @pytest.mark.slow
 def test_criterion10_verify_all_at_order10_is_pinned():
-    proc = subprocess.run(
-        [sys.executable, "-m", "thetaq.cli", "verify", "--all", "--order",
-         "10", "--format", "json", "--jobs", "2"],
-        capture_output=True, timeout=1200,
-    )
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    digest = hashlib.sha256(proc.stdout).hexdigest()
-    assert digest == VERIFY_ALL_ORDER10_SHA256, "order-10 report differs from the pin"
+    assert _verify_all_digest(10) == VERIFY_ALL_ORDER_SHA256[10], (
+        "order-10 report differs from the pin")
     _line(10, "PASS", "(order-10 report matches its pin)")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("order", [14, 24])
+def test_verify_all_at_depth_is_pinned(order):
+    assert _verify_all_digest(order) == VERIFY_ALL_ORDER_SHA256[order], (
+        f"order-{order} report differs from the pin")

@@ -32,6 +32,15 @@ def test_registry_nonempty_and_sorted():
     assert len(set(ids)) == len(ids)
 
 
+def test_registry_rejects_a_duplicate_id():
+    reg = {}
+    identities._add(reg, "S9.dup", "equality", 6, "anchor", None)
+    with pytest.raises(ValueError, match="duplicate identity id S9.dup"):
+        identities._add(reg, "S9.dup", "equality", 8, "other", None)
+    assert list(reg) == ["S9.dup"]
+    assert reg["S9.dup"].default_order == 6
+
+
 def test_registry_contains_pinned_ids():
     ids = {r[0] for r in list_identities()}
     for required in (

@@ -20,7 +20,6 @@ from thetaq.numerators import (
     _character_raw,
     _triple_sum_weights,
     character,
-    denominator_z_coset,
     derived_denominator,
     ensure_order,
     ladder_step,
@@ -195,7 +194,8 @@ def test_character_leading_terms():
 def test_derived_denominator_structure():
     r0 = derived_denominator(4)
     assert not r0.is_zfree()
-    assert denominator_z_coset(4) == [rat(1, 2)]
+    # its zeta-exponents all lie on the coset 1/2 + Z
+    assert {z - z.__floor__() for _, z, _ in r0.monomials()} == {rat(1, 2)}
 
 
 def test_ensure_order_boosts():

@@ -9,7 +9,8 @@ from thetaq._rational import INF, rat
 from thetaq import cyclo
 from thetaq.cyclo import CycloNum
 from thetaq.series import (InsufficientOrderError, NonUnitLeadingError, Series,
-                           _grid_bound)
+                           _DENSE, _convolve, _gather, _grid_bound,
+                           _packed_product, _series)
 from thetaq.thetalib import eta, mumford, theta
 
 from conftest import assert_equal_series, random_series, scale_args
@@ -479,3 +480,116 @@ def test_term_cancelled_only_by_w4_fold_is_dropped():
     assert prod.cutoff == 5
     assert prod.terms == {(0, 0): cyclo.I, (2, 0): cyclo.I}
     assert (1, 0) not in prod.terms
+
+
+# -- the packed-layer kernels on dense operands: many terms per q-layer,
+# -- negative z, coefficients far past a machine word, Fractions, and two
+# -- or more Q(zeta_8) components in every coefficient
+
+dense_part = st.one_of(st.integers(-10**30, 10**30),
+                       st.fractions(-10**30, 10**30, max_denominator=60))
+DENSE_PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+
+def dense_terms(draw, q0, steps, size):
+    """At least ``size`` terms at q0 + a step; each coefficient has two
+    components from a pool of three large values (few draws per term)."""
+    pool = draw(st.lists(dense_part.filter(bool), min_size=3, max_size=3))
+    keys = draw(st.lists(st.tuples(st.sampled_from(steps), st.integers(-8, 5)),
+                         min_size=size, max_size=size + 6, unique=True))
+    terms = {}
+    for dq, z in keys:
+        (i, j), u, v = draw(st.tuples(st.sampled_from(DENSE_PAIRS),
+                                      st.integers(0, 2), st.integers(1, 3)))
+        parts = [0, 0, 0, 0]
+        parts[i], parts[j] = pool[u], -v * pool[u - 1]
+        terms[(q0 + dq, rat(z, 2))] = CycloNum(*parts)
+    return terms
+
+
+@st.composite
+def dense_series(draw):
+    """At least 10 terms on a few q-layers, so that layers hold many."""
+    q0 = draw(exps)
+    terms = dense_terms(draw, q0, [rat(n, 2) for n in range(6)], 10)
+    return Series(terms, draw(st.one_of(st.just(INF), st.integers(0, 6).map(
+        lambda n: q0 + 3 + rat(n, 2)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_series(), dense_series(), st.integers(-4, 16))
+def test_product_kernels_match_the_term_by_term_product(a, b, top):
+    assert min(len(a.terms), len(b.terms)) >= 10
+    bound = rat(top, 2)
+    den = lcm(a.den, b.den)
+    hi = _grid_bound(bound, den)
+    xs, ys = a._lists_at(den), b._lists_at(den)
+    acc = ({}, {}, {}, {})
+    _convolve(acc, xs, ys, hi)
+    want = truncated_product(a.terms, b.terms, bound)
+    for comps in (_packed_product(xs, ys, hi), _gather(acc)):
+        got = _series(comps, den, bound)
+        assert_kernel_form(got)
+        assert got.terms == want
+
+
+def test_packed_product_fills_its_slots_to_the_bound():
+    # with one term each the product's coefficient is S_x * S_y itself,
+    # the most a slot of bitlen(S_x * S_y) + 1 bits must hold
+    for c, d in ((3, 5), (-3, 5), (7, -9), (rat(1, 2), -255), (-1, -1)):
+        x = Series({(rat(0), rat(1)): CycloNum(c)})
+        y = Series({(rat(1), rat(-3)): CycloNum(d)})
+        got = _series(_packed_product(x._lists(), y._lists(), 5), 1, INF)
+        assert got.terms == {(1, -2): CycloNum(c * d)}
+
+
+def test_the_size_rule_picks_the_packed_kernel(monkeypatch):
+    from thetaq import series
+    calls = []
+    packed = series._packed_product
+    monkeypatch.setattr(series, "_packed_product",
+                        lambda *args: calls.append(1) or packed(*args))
+    few, many, more = theta(0, 1, 5), theta(1, 2, 2000), theta(0, 1, 2000)
+    assert len(few.terms) < _DENSE[0] <= len(many.terms)
+    assert len(many.terms) * len(more.terms) >= _DENSE[1]
+    few * many
+    assert not calls
+    many * more
+    assert calls
+
+
+# non-units with Fraction components, and -1
+dense_leads = st.sampled_from([CycloNum(rat(2, 3), rat(-5, 7)),
+                               CycloNum(rat(1, 2), 0, rat(3, 4), 0),
+                               CycloNum(rat(-7, 5)), cyclo.MINUS_ONE])
+
+
+@st.composite
+def dense_invertible(draw):
+    """(s, order) as :func:`invertible_series` draws it, with at least 10
+    terms on the two layers above the leading one, both below the cutoff;
+    "empty" leaves a bound <= 0."""
+    qa, za = draw(exps), draw(exps)
+    terms = {(q, za + z): c for (q, z), c in
+             dense_terms(draw, qa, [rat(1, 2), 1], 10).items()}
+    terms[(qa, za)] = draw(dense_leads)
+    mode = draw(st.sampled_from(["cutoff", "order", "exact", "empty"]))
+    half = st.integers(0, 3).map(lambda n: rat(n, 2))
+    cutoff = INF if mode == "exact" else qa + rat(3, 2) + draw(half)
+    order = {
+        "cutoff": None,
+        "order": cutoff - 2 * qa - rat(1, 2) - draw(half),
+        "exact": -qa + draw(half),
+        "empty": -qa - draw(half),
+    }[mode]
+    return Series(terms, cutoff), order
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_invertible())
+def test_packed_inverse_matches_geometric_reference(case):
+    s, order = case
+    assert len(s.terms) >= 11
+    inv = s.inverse(order)
+    assert_kernel_form(inv)
+    assert (inv.terms, inv.cutoff) == geometric_inverse(s, order)

@@ -319,6 +319,23 @@ def test_memoized_theta_matches_a_fresh_build(j, m, qscale, zcoeff, tshift,
 @settings(max_examples=60, deadline=None)
 @given(_rat_over(1, 4), st.integers(-4, 6), _rat_over(-1, 8))
 def test_memoized_eta_matches_a_fresh_build(c, e, order):
-    fresh = thetalib._eta(c, e, order).json_obj()
+    # the defining product reads no table entry, so it is a fresh build
+    fresh = eta_product(c, e, order).json_obj()
     for args in ((c, e, order), (_plain(c), e, _plain(order)), (c, e, order)):
         assert eta(*args).json_obj() == fresh
+
+
+def test_eta_does_not_depend_on_the_order_of_requests(monkeypatch):
+    # the three scales share one Euler power: built at 27 for the first
+    # request in one order, and built at 13, then again at 27, in the other
+    requests = [(rat(1, 2), -1, 13), (2, -1, 6), (1, -1, rat(25, 2))]
+
+    def build(reqs):
+        monkeypatch.setattr(thetalib, "_cache", {})
+        return [(s.terms, s.cutoff) for s in (eta(*r) for r in reqs)]
+
+    fresh = [build([r])[0] for r in requests]
+    assert build(requests) == fresh
+    assert build(requests[::-1]) == fresh[::-1]
+    assert [k for k in thetalib._cache if k[0] == "euler"] == [("euler", -1)]
+    assert thetalib._cache["euler", -1].cutoff == 27
