@@ -2,9 +2,10 @@
 
 This is the computational meaning of every span / membership / branching
 statement in the package: ``decompose`` searches for z-free series c_i with
-``target = sum c_i * basis_i`` below a requested order, by exact Gaussian
-elimination over Q(zeta_8) on the monomial-matching linear system, or over
-Q when the system is in real form (below).
+``target = sum c_i * basis_i`` below a requested order, by exact forward
+substitution or Gaussian elimination over Q(zeta_8) on the
+monomial-matching linear system, or over Q when the system is in real form
+(below).
 
 Unknown supports: column (i, e) stands for q^e times basis_i, and it
 touches the monomial q^(e + a) z^b of each term q^a z^b of basis_i.  The
@@ -30,30 +31,48 @@ monomials, also those at or above the order, and columns that meet only
 there are candidates too, so a cut P(z) would drop columns and change
 the system.
 
-Closed rows: rows are reduced in ascending monomial order, each by the
-pivots in ascending column order.  A pivot is *closed* once every other
-column of its normalized row is a closed pivot.  A row made only of closed
-pivots is skipped, and that is exact: reducing it by its least
-column leaves only larger closed pivots, so by induction it reduces to the
-empty row, which yields no pivot and whose right side is dropped (the
-re-multiplication judges consistency).  Pivots, free columns and values are
-those of a full reduction.  The re-multiplication subtracts every
-coefficient times its basis element from the target in one accumulator
-below the order, term by term.
+Leading rows: column (i, e) *leads* at (e + q_i, z_i), where q^q_i z^z_i
+is the first term of basis_i in ascending (q, z) order, and it touches no
+monomial below that.  When the leading monomials of all columns are
+distinct, ``decompose`` solves by forward substitution on the leading
+rows, in ascending order: the value at the column leading at m is the right
+side at m, minus the entries of the columns that lead below m (already
+solved) times their values, divided by basis_i's first coefficient.  This
+is exactly what elimination would give.  The rows up to m hold only the
+columns leading at or below m; their leading rows form a square
+lower-triangular block with a nonzero diagonal, so each leading row is
+independent of the rows before it, and every other row lies in the span of
+the leading rows before it.  Ascending elimination thus pivots on exactly
+the leading rows and every column, and its values solve them: the values,
+the residual and the status (no free columns) are the same.  The choice is
+computed from the system; any system in which two columns share a leading
+monomial is eliminated as below.
+
+Closed rows (the elimination): rows are built for every column and
+reduced in ascending monomial order, each by the pivots in ascending
+column order.  A pivot is *closed* once every other column of its
+normalized row is a closed pivot.  A row made only of closed pivots is
+skipped, and that is exact: reducing it by its least column leaves only
+larger closed pivots, so by induction it reduces to the empty row, which
+yields no pivot and whose right side is dropped (the re-multiplication
+judges consistency).  Pivots, free columns and values are those of a full
+reduction.  Either solve is followed by the same re-multiplication, which
+subtracts every coefficient times its basis element from the target in one
+accumulator below the order, term by term.
 
 Real form: when the target and every basis element each store at most one
 nonempty component dict (see :mod:`thetaq.series`), each is one unit w^k
 times a series with rational coefficients (k its component, 0 for a
 series without terms).  The entries are then read from that one dict, the
-rational components c[k_i] and the right side c[k_t], so the elimination
+rational components c[k_i] and the right side c[k_t], so either solve
 runs on ints (Fractions only under a pivot other than +-1).  This scales
 column i by the unit w^-k_i and the right side by w^-k_t, which moves no
 entry's zero pattern: the pivots, skipped rows and free columns are those
 of the Q(zeta_8) system, the unknown of column (i, e) is
 c_i * w^(k_i - k_t), and a solved value x maps back to x * w^(k_t - k_i).
 Any other system keeps ``CycloNum`` entries (:func:`thetaq.series.align`);
-both run the same loop.  The re-multiplication uses the original series
-either way.
+both forms run the same code.  The re-multiplication uses the original
+series either way.
 """
 
 from __future__ import annotations
@@ -169,46 +188,12 @@ def _divider(p):
     return _UNIT_PIVOTS.get(p) or (lambda v: _canon(rat(v, p)))
 
 
-def decompose(target: Series, basis: list[Series], order) -> Decomposition:
-    """Express ``target`` over ``basis`` with z-free series coefficients.
-
-    Exactness is certified by re-multiplying the solution and checking the
-    residual below the certified order; raises InsufficientOrderError when
-    the inputs cannot certify the requested order.
-    """
-    if not basis:
-        raise ValueError("basis must be nonempty")
-    order = rat(order)
-    if order > target.cutoff:
-        raise InsufficientOrderError(
-            "target trusted only below "
-            f"{target.cutoff}, requested {order}",
-            max_order=target.cutoff,
-        )
-    for b in basis:
-        if order > b.cutoff:
-            raise InsufficientOrderError(
-                f"basis element trusted only below {b.cutoff}, "
-                f"requested {order}",
-                max_order=b.cutoff,
-            )
-
-    series = [target] + basis
-    # in real form the entries are the rational components (module doc)
-    ks = [[k for k, d in enumerate(s._comps) if d] for s in series]
-    real = all(len(k) <= 1 for k in ks)
-    if real:
-        ks = [k[0] if k else 0 for k in ks]
-        den = lcm(*(s.den for s in series))
-        hi = _grid_bound(order, den)
-        grid = [s._lists_at(den)[k] for s, k in zip(series, ks)]
-    else:
-        den, hi, grid = align(series, order)
-    brows = grid[1:]
-    supports = _supports(grid[0], brows, hi, den)
-    cols = [(i, e) for i, es in enumerate(supports) for e in es]
-    col_index = {c: k for k, c in enumerate(cols)}
-
+def _eliminate(cols, col_index, rhs, brows, hi):
+    """Solve the monomial-matching system by forward elimination and
+    back-substitution (see the module doc): every row is built, and rows of
+    closed pivots are skipped.  Returns ``(values, pivots)``: the nonzero
+    values by column index, and the pivot columns, whose complement are the
+    free columns (valued zero)."""
     rows: dict = {}
     for (i, e) in cols:
         ci = col_index[(i, e)]
@@ -218,11 +203,6 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
                 break
             # the keys (e + q, z) of one column are distinct
             rows.setdefault((qq, z), {})[ci] = coeff
-    rhs: dict = {}
-    for q, z, coeff in grid[0]:
-        if q >= hi:
-            break
-        rhs[(q, z)] = coeff
 
     # forward elimination, rows in ascending monomial order; a pivot row
     # holds only columns >= its pivot column, so reducing by the pivots in
@@ -298,6 +278,90 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
             acc = -p if acc is None else acc - p
         if acc:
             values[c] = acc
+    return values, pivots
+
+
+def _substitute(lead, rhs, brows):
+    """Solve a system whose columns have distinct leading monomials by
+    forward substitution on their leading rows (see the module doc).
+    ``lead`` maps each leading monomial to its column (i, e); returns the
+    nonzero values as one dict e -> value per basis element."""
+    values = [{} for _ in brows]
+    at_z: dict = {}  # z -> (values[j], q, coeff) for each term q^q z^z of j
+    for vals, r in zip(values, brows):
+        for q, z, coeff in r:
+            at_z.setdefault(z, []).append((vals, q, coeff))
+    scales = [_divider(r[0][2]) if r else None for r in brows]
+    for m in sorted(lead):
+        qq, z = m
+        i, e = lead[m]
+        acc = rhs.get(m)
+        # the columns (j, qq - q) met here lead below m, so they are solved
+        for vals, q, coeff in at_z[z]:
+            v = vals.get(qq - q)
+            if v is not None:
+                p = coeff * v
+                acc = -p if acc is None else acc - p
+        if acc:
+            values[i][e] = scales[i](acc)
+    return values
+
+
+def decompose(target: Series, basis: list[Series], order) -> Decomposition:
+    """Express ``target`` over ``basis`` with z-free series coefficients.
+
+    Exactness is certified by re-multiplying the solution and checking the
+    residual below the certified order; raises InsufficientOrderError when
+    the inputs cannot certify the requested order.
+    """
+    if not basis:
+        raise ValueError("basis must be nonempty")
+    order = rat(order)
+    if order > target.cutoff:
+        raise InsufficientOrderError(
+            "target trusted only below "
+            f"{target.cutoff}, requested {order}",
+            max_order=target.cutoff,
+        )
+    for b in basis:
+        if order > b.cutoff:
+            raise InsufficientOrderError(
+                f"basis element trusted only below {b.cutoff}, "
+                f"requested {order}",
+                max_order=b.cutoff,
+            )
+
+    series = [target] + basis
+    # in real form the entries are the rational components (module doc)
+    ks = [[k for k, d in enumerate(s._comps) if d] for s in series]
+    real = all(len(k) <= 1 for k in ks)
+    if real:
+        ks = [k[0] if k else 0 for k in ks]
+        den = lcm(*(s.den for s in series))
+        hi = _grid_bound(order, den)
+        grid = [s._lists_at(den)[k] for s, k in zip(series, ks)]
+    else:
+        den, hi, grid = align(series, order)
+    brows = grid[1:]
+    supports = _supports(grid[0], brows, hi, den)
+    cols = [(i, e) for i, es in enumerate(supports) for e in es]
+    col_index = {c: k for k, c in enumerate(cols)}
+
+    rhs: dict = {}  # the target's terms below hi, by monomial
+    for q, z, coeff in grid[0]:
+        if q >= hi:
+            break
+        rhs[(q, z)] = coeff
+    # column (i, e) leads at (e + q_i, z_i), the first term q^q_i z^z_i of
+    # basis row i; distinct leading monomials make the system triangular
+    lead = {(e + brows[i][0][0], brows[i][0][1]): (i, e) for (i, e) in cols}
+    if len(lead) == len(cols):
+        values = {col_index[(i, e)]: v for i, vals in
+                  enumerate(_substitute(lead, rhs, brows))
+                  for e, v in vals.items()}
+        pivots = range(len(cols))  # every column pivots
+    else:
+        values, pivots = _eliminate(cols, col_index, rhs, brows, hi)
 
     coeffs = []
     for i, b in enumerate(basis):

@@ -495,9 +495,6 @@ class Series:
     def is_zero_series(self) -> bool:
         return not any(self._comps)
 
-    def is_zfree(self) -> bool:
-        return all(z == 0 for d in self._comps for _, z in d)
-
     def restrict(self, order) -> Series:
         """Drop terms at or above ``order`` and lower the cutoff to it."""
         if order > self.cutoff:

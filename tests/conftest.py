@@ -38,6 +38,11 @@ def assert_canonical(x):
         assert type(c) is int or (type(c) is Fraction and c.denominator > 1), x
 
 
+def is_zfree(series):
+    """True iff every term of ``series`` has z-exponent 0."""
+    return all(z == 0 for _, z, _ in series.monomials())
+
+
 def assert_equal_series(a, b, order, msg=""):
     ok, mismatch = a.equal_up_to(b, order)
     assert ok, f"{msg} first mismatch at {mismatch}"

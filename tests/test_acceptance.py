@@ -32,7 +32,7 @@ from thetaq.numerators import (
 from thetaq.series import Series
 from thetaq.thetalib import eta, mumford, theta
 
-from conftest import assert_equal_series, eta_product, span_equal
+from conftest import assert_equal_series, eta_product, is_zfree, span_equal
 
 
 def _line(criterion, status, detail=""):
@@ -151,7 +151,7 @@ def test_criterion7a_denominator_zfree_as_stated():
     r0 = derived_denominator(4)
     _line("7a", "FAIL", "(expected: denominator carries half-integer "
                         "elliptic exponents)")
-    assert r0.is_zfree(), "eta*F[1,1/2]/theta_{0,1} is not z-free"
+    assert is_zfree(r0), "eta*F[1,1/2]/theta_{0,1} is not z-free"
 
 
 def test_criterion7b_denominator_spans():
@@ -221,12 +221,13 @@ def test_criterion10_determinism_of_verify_all():
 
 # sha256 of the raw stdout of `verify --all --order N --format json --jobs
 # 2`; at order 10 every case reaches deeper into the triple sums and
-# eliminations than at the default orders, and at orders 14 and 24 the
+# eliminations than at the default orders, and at orders 14, 18 and 24 the
 # products, inverses and etas are long enough for the packed-layer kernels
 # and the rebuilt Euler powers, so this pins them there too
 VERIFY_ALL_ORDER_SHA256 = {
     10: "82a24d519daf9513b3784bd2db36b9ff5120e557c8f8686c840fc3fc2a4538b6",
     14: "8cad1fe5e270e309e4f1170f10ce843ed437ae1b22898a4d0f1b3995ff7bc083",
+    18: "4c7c8b9e8afd4eaddb46788aef165b83c318bdc475187087eeecc83606c3f01b",
     24: "cc502bb415dbc271d0c59f19f05dfd4fef5f9957f2750bf9f206b7b169517c38",
 }
 
@@ -249,7 +250,24 @@ def test_criterion10_verify_all_at_order10_is_pinned():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("order", [14, 24])
+@pytest.mark.parametrize("order", [14, 18, 24])
 def test_verify_all_at_depth_is_pinned(order):
     assert _verify_all_digest(order) == VERIFY_ALL_ORDER_SHA256[order], (
         f"order-{order} report differs from the pin")
+
+
+# sha256 of the raw stdout of `verify --all --format markdown`
+VERIFY_ALL_MARKDOWN_SHA256 = (
+    "c302f7eb6c83e58c01d3ffe5cf590ce5af8d8396196e072794dd0b66f0141adc")
+
+
+@pytest.mark.slow
+def test_verify_all_markdown_is_pinned():
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetaq.cli", "verify", "--all", "--format",
+         "markdown"],
+        capture_output=True, timeout=1200,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        VERIFY_ALL_MARKDOWN_SHA256), "markdown report differs from the pin"

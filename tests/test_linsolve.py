@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from thetaq._rational import INF, rat
 from thetaq import cyclo
 from thetaq.cyclo import CycloNum, phase
-from thetaq import identities
+from thetaq import identities, linsolve
 from thetaq.identities import branch_product
 from thetaq.linsolve import Decomposition, _supports, decompose, membership
 from thetaq.numerators import (
@@ -21,7 +21,7 @@ from thetaq.numerators import (
 from thetaq.series import InsufficientOrderError, Series, align
 from thetaq.thetalib import bracket, eta, mumford, theta
 
-from conftest import assert_equal_series, span_equal
+from conftest import assert_equal_series, is_zfree, span_equal
 
 
 def test_trivial_projection():
@@ -48,7 +48,7 @@ def test_squares_note_coefficients():
     for got, expect in zip(dec.coefficients, (c0, c1)):
         o = min(rat(6), got.cutoff, expect.cutoff)
         assert_equal_series(got, expect, o)
-        assert got.is_zfree()
+        assert is_zfree(got)
 
 
 def test_branching_coefficient_eta_quotient():
@@ -348,7 +348,7 @@ def test_decompose_round_trip(case):
         total = total + c * b
     assert_equal_series(total, target, order, "re-multiplied")
     for got, drawn in zip(dec.coefficients, coeffs):
-        assert got.is_zfree()
+        assert is_zfree(got)
         assert_equal_series(got, drawn, got.cutoff, "coefficient")
     dup = decompose(target, basis + [basis[0]], order)
     assert dup.status == "under-determined"
@@ -545,6 +545,12 @@ def test_decompose_matches_reference_on_random_systems(system, order):
         reference_decompose, target, basis, order)
 
 
+def _refuse(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} ran")
+    return refuse
+
+
 @pytest.mark.parametrize("order", [6, 12, 14])
 def test_decompose_matches_reference_on_branch_bases(monkeypatch, order):
     muls = []
@@ -565,9 +571,12 @@ def test_decompose_matches_reference_on_branch_bases(monkeypatch, order):
             basis = [character(*lbl, k) for lbl in labels]
             with monkeypatch.context() as m:
                 m.setattr(CycloNum, "__mul__", counted)
+                m.setattr(linsolve, "_eliminate", _refuse("_eliminate"))
                 got = decompose(target, basis, order)
             # every series is a unit times a rational series: the system
-            # is eliminated in rationals, with no product in Q(zeta_8)
+            # is solved in rationals, with no product in Q(zeta_8); its
+            # columns have distinct leading monomials, so it is solved by
+            # forward substitution, without the elimination
             assert not muls
             assert got.json_obj() == reference_decompose(
                 target, basis, order).json_obj()
@@ -645,3 +654,85 @@ def test_residual_lies_below_order_and_keeps_its_witness():
     # the only mismatch lies just below the order
     assert dec.witness == (order - rat(1, 7), rat(1, 3))
     assert len(dec.residual.monomials()) == 1
+
+
+def _exact(terms):
+    """An exactly known series from ``{(q, z): coeff}``, a coefficient
+    being a rational or a ``CycloNum``."""
+    return Series({(rat(q), rat(z)): c if type(c) is CycloNum else CycloNum(c)
+                   for (q, z), c in terms.items()})
+
+
+def _solved_by(monkeypatch, path, target, basis, order):
+    """``outcome(decompose, ...)`` with the solve other than ``path``
+    patched to raise, checked against the reference."""
+    other = {"_substitute": "_eliminate", "_eliminate": "_substitute"}[path]
+    with monkeypatch.context() as m:
+        m.setattr(linsolve, other, _refuse(other))
+        got = outcome(decompose, target, basis, order)
+    assert got == outcome(reference_decompose, target, basis, order)
+    return got
+
+
+def _terms(obj):
+    return [c["terms"] for c in obj["coefficients"]]
+
+
+def test_distinct_leads_outside_the_span_keep_their_witness(monkeypatch):
+    # b0 leads at q^0 z^0 and b1 at q^0 z^1; the leading rows give
+    # c0 = c1 = 1, and the target misses the term q z^2 of b0
+    basis = [_exact({(0, 0): 1, (0, 1): 1, (1, 2): 1}),
+             _exact({(0, 1): 1, (1, 0): 1})]
+    target = _exact({(0, 0): 1, (0, 1): 2, (1, 0): 1})
+    got = _solved_by(monkeypatch, "_substitute", target, basis, 2)
+    assert got["status"] == "not-in-span"
+    assert got["witness"] == ["1", "2"]
+    one = [["0", "0", ["1", "0", "0", "0"]]]
+    assert _terms(got) == [one, one]
+
+
+def test_distinct_leads_divide_by_a_fraction(monkeypatch):
+    # b0 leads with 3/2 and b1 with 2, so every value is divided by them
+    basis = [_exact({(0, 0): rat(3, 2), (0, 1): 1}),
+             _exact({(0, 1): 2, (1, 0): -1})]
+    c0 = _exact({(0, 0): 1, (1, 0): rat(1, 2)})
+    c1 = _exact({(0, 0): -1, (rat(1, 2), 0): 3})
+    got = _solved_by(monkeypatch, "_substitute",
+                     c0 * basis[0] + c1 * basis[1], basis, 2)
+    assert got["status"] == "exact"
+    assert _terms(got) == [
+        [["0", "0", ["1", "0", "0", "0"]], ["1", "0", ["1/2", "0", "0", "0"]]],
+        [["0", "0", ["-1", "0", "0", "0"]], ["1/2", "0", ["3", "0", "0", "0"]]]]
+
+
+def test_distinct_leads_in_cyclotomic_form(monkeypatch):
+    # b0 holds two components, so the system is not in real form, and it
+    # leads with 1 + w
+    w = CycloNum(0, 1)
+    basis = [_exact({(0, 0): CycloNum(1, 1), (0, 1): 1}),
+             _exact({(0, 1): 1, (1, 0): w})]
+    c0 = _exact({(0, 0): w, (1, 0): 2})
+    c1 = _exact({(0, 0): CycloNum(1, 0, 1)})
+    got = _solved_by(monkeypatch, "_substitute",
+                     c0 * basis[0] + c1 * basis[1], basis, 2)
+    assert got["status"] == "exact"
+    assert _terms(got) == [
+        [["0", "0", ["0", "1", "0", "0"]], ["1", "0", ["2", "0", "0", "0"]]],
+        [["0", "0", ["1", "0", "1", "0"]]]]
+
+
+def test_shared_lead_of_full_rank_is_eliminated(monkeypatch):
+    # both elements lead at q^0 z^0 and are independent: 2 + 3z = b0 + b1
+    basis = [_exact({(0, 0): 1, (0, 1): 1}), _exact({(0, 0): 1, (0, 1): 2})]
+    got = _solved_by(monkeypatch, "_eliminate",
+                     _exact({(0, 0): 2, (0, 1): 3}), basis, 2)
+    assert got["status"] == "exact"
+    one = [["0", "0", ["1", "0", "0", "0"]]]
+    assert _terms(got) == [one, one]
+
+
+def test_repeated_element_is_eliminated_and_under_determined(monkeypatch):
+    b = _exact({(0, 0): 1, (1, 1): 1})
+    got = _solved_by(monkeypatch, "_eliminate", b, [b, b], 2)
+    assert got["status"] == "under-determined"
+    assert _terms(got) == [[["0", "0", ["1", "0", "0", "0"]]], []]

@@ -13,7 +13,7 @@ from thetaq.series import (InsufficientOrderError, NonUnitLeadingError, Series,
                            _packed_product, _series)
 from thetaq.thetalib import eta, mumford, theta
 
-from conftest import assert_equal_series, random_series, scale_args
+from conftest import assert_equal_series, is_zfree, random_series, scale_args
 
 
 def S(pairs, cutoff=INF):
@@ -220,8 +220,8 @@ def test_scaled_eta_leading_exponent():
 
 
 def test_is_zfree():
-    assert eta(1, 1, 6).is_zfree()
-    assert not theta(0, 1, 6).is_zfree()
+    assert is_zfree(eta(1, 1, 6))
+    assert not is_zfree(theta(0, 1, 6))
 
 
 def test_equal_up_to():
