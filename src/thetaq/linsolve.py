@@ -3,88 +3,100 @@
 This is the computational meaning of every span / membership / branching
 statement in the package: ``decompose`` searches for z-free series c_i with
 ``target = sum c_i * basis_i`` below a requested order, by exact forward
-substitution or Gaussian elimination over Q(zeta_8) on the
-monomial-matching linear system, or over Q when the system is in real form
-(below).
+substitution or Gaussian elimination over Q on the realified
+monomial-matching linear system (below).
 
-Unknown supports: column (i, e) stands for q^e times basis_i, and it
-touches the monomial q^(e + a) z^b of each term q^a z^b of basis_i.  The
-candidate exponents are the least sets such that basis_j holds every e
-inside its window ``[min interacting ord - 1,  order - ord(basis_j))``
-for which q^e times a term of basis_j lands on a monomial touched by a
-candidate column or by a target term below the order.  The window floor is
-a fixed one-unit pad, so results are deterministic; soundness never depends
-on it because the candidate solution is always re-multiplied and the
-residual checked term by term.  The search and the linear system work on
-integer exponents over one denominator shared by the target and the basis
-(:func:`thetaq.series.align`).
+Realification: each unknown is written c_i = sum_k w^k c_ik with rational
+series c_ik, so column (i, e, k) stands for q^e w^k basis_i, and a row is
+a monomial q^a z^b with a component c, the coefficient of w^c there (see
+:mod:`thetaq.series`), keyed ``(a, 4b + c)``: the search and the solves
+read every row as ``(q, z', rational)`` on one int grid over the
+denominator shared by the target and the basis.  The realified element
+w^k basis_i moves component j to (j + k) mod 4, negated when j + k >= 4
+(w^4 = -1); it is built only if its components meet those of the target
+or of an element already built, a fixed point over components.  When the
+target and every basis element each hold one component (every system the
+registry and ``branch`` build), one element is built per basis element,
+the one on the target's component.  Column (i, e, k)'s value is the term
+q^e of c_ik, written into component k of coefficient i.
 
-The closure runs on int bitsets.  Basis i's candidates are one int S_i
+The results are those of the Q(zeta_8) system.  Let G be the group of
+turns spanned by the differences of components within each basis element.
+Every element is a unit times a series over the field F = Q(w^g, g in G),
+the built components are cosets of G, and each coset holds one system
+over F, realified over the basis w^g of F.  Pivots do not change under a
+field extension, and with the columns ordered (i, e, k), k innermost,
+(i, e, k) pivots exactly when (i, e) does (the w^g are independent over
+Q), and a monomial's built rows are pivot rows exactly when its Q(zeta_8)
+row is.  Every candidate column (i, e) keeps at least one (i, e, k), and
+the elements not built touch no built row and have a zero right side; so
+the free columns, the values (every free column zero), the residual and
+the status match.
+
+Unknown supports: column (r, e) stands for q^e times realified element r
+and touches the row (e + a, z') of each of its terms (a, z').  The
+candidate exponents are the least sets such that element r holds every e
+inside its window ``[min interacting ord - 1,  order - ord_r)`` for which
+column (r, e) touches a row touched by a candidate column or by a target
+term below the order.  The window floor is a fixed one-unit pad, so
+results are deterministic; soundness never depends on it because the
+candidate solution is always re-multiplied and the residual checked term
+by term.
+
+The closure runs on int bitsets.  Element i's candidates are one int S_i
 whose bit k stands for the exponent floor - ord_i + k, below the window
-width hi - floor; the monomials touched at z-exponent z are one int P(z)
-whose bit k stands for q^(floor + k).  Each round takes only the bits new
-in the round before: basis j gains ``P(z) >> (b - ord_j)`` for each of its
+width hi - floor; the rows touched at key z are one int P(z) whose bit k
+stands for q^(floor + k).  Each round takes only the bits new in the
+round before: element j gains ``P(z) >> (b - ord_j)`` for each of its
 q-exponents b at z, masked to its window and to bits it lacks, and those
-new bits S add ``S << (a - ord_i)`` into P(z) for each term q^a z^b of
-basis i.  P(z) is not cut at the window top: a column touches all its
-monomials, also those at or above the order, and columns that meet only
-there are candidates too, so a cut P(z) would drop columns and change
-the system.
+new bits S add ``S << (a - ord_i)`` into P(z) for each term q^a at key z
+of element i.  P(z) is not cut at the window top: a column touches all
+its rows, also those at or above the order, and columns that meet only
+there are candidates too, so a cut P(z) would drop columns and change the
+system.
 
-Leading rows: column (i, e) *leads* at (e + q_i, z_i), where q^q_i z^z_i
-is the first term of basis_i in ascending (q, z) order, and it touches no
-monomial below that.  When the leading monomials of all columns are
-distinct, ``decompose`` solves by forward substitution on the leading
-rows, in ascending order: the value at the column leading at m is the right
-side at m, minus the entries of the columns that lead below m (already
-solved) times their values, divided by basis_i's first coefficient.  This
-is exactly what elimination would give.  The rows up to m hold only the
+Leading rows: column (r, e) *leads* at (e + q_r, z_r), where (q_r, z_r)
+is the first key of element r in ascending order, and it touches no row
+below that.  When the leading rows of all columns are distinct,
+``decompose`` solves by forward substitution on the leading rows, in
+ascending order: the value of the column leading at m is the right side
+at m, minus the entries of the columns that lead below m (already solved)
+times their values, divided by element r's first coefficient.  This is
+exactly what elimination would give.  The rows up to m hold only the
 columns leading at or below m; their leading rows form a square
 lower-triangular block with a nonzero diagonal, so each leading row is
-independent of the rows before it, and every other row lies in the span of
-the leading rows before it.  Ascending elimination thus pivots on exactly
-the leading rows and every column, and its values solve them: the values,
-the residual and the status (no free columns) are the same.  The choice is
-computed from the system; any system in which two columns share a leading
-monomial is eliminated as below.
+independent of the rows before it, and every other row lies in the span
+of the leading rows before it.  Ascending elimination thus pivots on
+exactly the leading rows and every column, and its values solve them:
+the values, the residual and the status (no free columns) are the same.
+The choice is computed from the system; any system in which two columns
+share a leading row is eliminated as below.
 
 Closed rows (the elimination): rows are built for every column and
-reduced in ascending monomial order, each by the pivots in ascending
-column order.  A pivot is *closed* once every other column of its
-normalized row is a closed pivot.  A row made only of closed pivots is
-skipped, and that is exact: reducing it by its least column leaves only
-larger closed pivots, so by induction it reduces to the empty row, which
-yields no pivot and whose right side is dropped (the re-multiplication
-judges consistency).  Pivots, free columns and values are those of a full
-reduction.  Either solve is followed by the same re-multiplication, which
-subtracts every coefficient times its basis element from the target in one
-accumulator below the order, term by term.
-
-Real form: when the target and every basis element each store at most one
-nonempty component dict (see :mod:`thetaq.series`), each is one unit w^k
-times a series with rational coefficients (k its component, 0 for a
-series without terms).  The entries are then read from that one dict, the
-rational components c[k_i] and the right side c[k_t], so either solve
-runs on ints (Fractions only under a pivot other than +-1).  This scales
-column i by the unit w^-k_i and the right side by w^-k_t, which moves no
-entry's zero pattern: the pivots, skipped rows and free columns are those
-of the Q(zeta_8) system, the unknown of column (i, e) is
-c_i * w^(k_i - k_t), and a solved value x maps back to x * w^(k_t - k_i).
-Any other system keeps ``CycloNum`` entries (:func:`thetaq.series.align`);
-both forms run the same code.  The re-multiplication uses the original
-series either way.
+reduced in ascending order, each by the pivots in ascending column order.
+A pivot is *closed* once every other column of its normalized row is a
+closed pivot.  A row made only of closed pivots is skipped, and that is
+exact: reducing it by its least column leaves only larger closed pivots,
+so by induction it reduces to the empty row, which yields no pivot and
+whose right side is dropped (the re-multiplication judges consistency).
+Pivots, free columns and values are those of a full reduction.  Either
+solve runs on ints, with Fractions only under a pivot other than +-1, and
+is followed by the same re-multiplication of the original series, which
+subtracts every coefficient times its basis element from the target in
+one accumulator below the order, term by term.
 """
 
 from __future__ import annotations
 
 import heapq
 import operator
+from itertools import chain
 from math import lcm
 
 from ._rational import rat, rat_str
-from .cyclo import CycloNum, _canon
+from .cyclo import _canon
 from .series import (InsufficientOrderError, Series, _convolve, _gather,
-                     _grid_bound, _series, align)
+                     _grid_bound, _series)
 
 
 class Decomposition:
@@ -119,10 +131,10 @@ class Decomposition:
 def _supports(target_row, basis_rows, hi, den):
     """Candidate coefficient q-exponents per basis element (see module doc).
 
-    The rows and the window top ``hi`` are :func:`thetaq.series.align`
-    output, so every exponent is an int over ``den``.  A basis element
-    without terms gets no candidates, and a target without terms below
-    ``hi`` gives none at all.
+    The rows are ascending ``(q, z', value)`` and ``hi`` is the window top,
+    every exponent an int over ``den``.  A basis row without terms gets no
+    candidates, and a target without terms below ``hi`` gives none at
+    all.
     """
     nb = len(basis_rows)
     seeds = [(q, z) for q, z, _ in target_row if q < hi]
@@ -181,23 +193,32 @@ _UNIT_PIVOTS = {1: lambda v: v, -1: operator.neg}
 
 def _divider(p):
     """The map v -> v / p over a pivot row, decided once per pivot: a
-    ``CycloNum`` times its inverse, a rational other than +-1 in ``rat``,
-    kept an int where it is one."""
-    if type(p) is CycloNum:
-        return p.inverse().__mul__
+    rational other than +-1 divides in ``rat``, kept an int where it is
+    one."""
     return _UNIT_PIVOTS.get(p) or (lambda v: _canon(rat(v, p)))
 
 
-def _eliminate(cols, col_index, rhs, brows, hi):
+def _turned(lists, k):
+    """The terms of w^k times a series, given by its four component lists
+    (see :mod:`thetaq.series`), as one ascending list of realified terms
+    ``(q, 4z + c, value)``: component j lands on c = (j + k) mod 4, negated
+    when j + k >= 4 (w^4 = -1)."""
+    parts = [[(q, 4 * z + j + k, c) for q, z, c in part] if j + k < 4
+             else [(q, 4 * z + j + k - 4, -c) for q, z, c in part]
+             for j, part in enumerate(lists) if part]
+    return parts[0] if len(parts) == 1 else sorted(chain(*parts))
+
+
+def _eliminate(cols, rhs, brows, hi):
     """Solve the monomial-matching system by forward elimination and
     back-substitution (see the module doc): every row is built, and rows of
-    closed pivots are skipped.  Returns ``(values, pivots)``: the nonzero
-    values by column index, and the pivot columns, whose complement are the
-    free columns (valued zero)."""
+    closed pivots are skipped.  Column ``cols[ci] = (r, e)`` stands for q^e
+    times ``brows[r]``.  Returns ``(values, pivots)``: the nonzero values
+    by column index, and the pivot columns, whose complement are the free
+    columns (valued zero)."""
     rows: dict = {}
-    for (i, e) in cols:
-        ci = col_index[(i, e)]
-        for q, z, coeff in brows[i]:
+    for ci, (r, e) in enumerate(cols):
+        for q, z, coeff in brows[r]:
             qq = e + q
             if qq >= hi:
                 break
@@ -282,19 +303,19 @@ def _eliminate(cols, col_index, rhs, brows, hi):
 
 
 def _substitute(lead, rhs, brows):
-    """Solve a system whose columns have distinct leading monomials by
-    forward substitution on their leading rows (see the module doc).
-    ``lead`` maps each leading monomial to its column (i, e); returns the
-    nonzero values as one dict e -> value per basis element."""
+    """Solve a system whose columns have distinct leading rows by forward
+    substitution on those rows (see the module doc).
+    ``lead`` maps each leading row to its column (r, e); returns the
+    nonzero values as one dict e -> value per row of ``brows``."""
     values = [{} for _ in brows]
-    at_z: dict = {}  # z -> (values[j], q, coeff) for each term q^q z^z of j
+    at_z: dict = {}  # z -> (values[r], q, coeff) for each term (q, z) of r
     for vals, r in zip(values, brows):
         for q, z, coeff in r:
             at_z.setdefault(z, []).append((vals, q, coeff))
-    scales = [_divider(r[0][2]) if r else None for r in brows]
+    scales = [_divider(r[0][2]) for r in brows]
     for m in sorted(lead):
         qq, z = m
-        i, e = lead[m]
+        r, e = lead[m]
         acc = rhs.get(m)
         # the columns (j, qq - q) met here lead below m, so they are solved
         for vals, q, coeff in at_z[z]:
@@ -303,7 +324,7 @@ def _substitute(lead, rhs, brows):
                 p = coeff * v
                 acc = -p if acc is None else acc - p
         if acc:
-            values[i][e] = scales[i](acc)
+            values[r][e] = scales[r](acc)
     return values
 
 
@@ -332,52 +353,50 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
             )
 
     series = [target] + basis
-    # in real form the entries are the rational components (module doc)
-    ks = [[k for k, d in enumerate(s._comps) if d] for s in series]
-    real = all(len(k) <= 1 for k in ks)
-    if real:
-        ks = [k[0] if k else 0 for k in ks]
-        den = lcm(*(s.den for s in series))
-        hi = _grid_bound(order, den)
-        grid = [s._lists_at(den)[k] for s, k in zip(series, ks)]
-    else:
-        den, hi, grid = align(series, order)
-    brows = grid[1:]
-    supports = _supports(grid[0], brows, hi, den)
-    cols = [(i, e) for i, es in enumerate(supports) for e in es]
-    col_index = {c: k for k, c in enumerate(cols)}
+    den = lcm(*(s.den for s in series))
+    hi = _grid_bound(order, den)
+    lists = [s._lists_at(den) for s in series]
+    # the components of each series, and of each w^k basis_i, as bits; the
+    # elements built are those meeting the components reached (module doc)
+    masks = [sum(1 << j for j, part in enumerate(ls) if part) for ls in lists]
+    turns = [[(m << k | m >> 4 - k) & 15 for k in range(4)] for m in masks[1:]]
+    reach = masks[0]
+    for _ in range(3):  # a pass adds a component, or none ever after
+        for m in chain(*turns):
+            if m & reach:
+                reach |= m
+    built = [(i, k) for i, t in enumerate(turns)
+             for k, m in enumerate(t) if m & reach]
+    brows = [_turned(lists[i + 1], k) for i, k in built]
+    trow = _turned(lists[0], 0)
+    supports = _supports(trow, brows, hi, den)
+    # column (r, e) is q^e times brows[r]; ordered (i, e, k), k innermost
+    cols = [(r, e) for _, e, r in sorted(
+        (built[r][0], e, r) for r, es in enumerate(supports) for e in es)]
 
-    rhs: dict = {}  # the target's terms below hi, by monomial
-    for q, z, coeff in grid[0]:
+    rhs: dict = {}  # the target's realified terms below hi, by row
+    for q, z, coeff in trow:
         if q >= hi:
             break
         rhs[(q, z)] = coeff
-    # column (i, e) leads at (e + q_i, z_i), the first term q^q_i z^z_i of
-    # basis row i; distinct leading monomials make the system triangular
-    lead = {(e + brows[i][0][0], brows[i][0][1]): (i, e) for (i, e) in cols}
+    # column (r, e) leads at (e + q_r, z_r), the first term of brows[r];
+    # distinct leading rows make the system triangular
+    lead = {(e + brows[r][0][0], brows[r][0][1]): (r, e) for r, e in cols}
     if len(lead) == len(cols):
-        values = {col_index[(i, e)]: v for i, vals in
+        solved = [(r, e, v) for r, vals in
                   enumerate(_substitute(lead, rhs, brows))
-                  for e, v in vals.items()}
-        pivots = range(len(cols))  # every column pivots
+                  for e, v in vals.items()]
+        free = ()  # every column pivots
     else:
-        values, pivots = _eliminate(cols, col_index, rhs, brows, hi)
+        values, pivots = _eliminate(cols, rhs, brows, hi)
+        solved = [(*cols[c], v) for c, v in values.items()]
+        free = [c for n, c in enumerate(cols) if n not in pivots]
 
-    coeffs = []
-    for i, b in enumerate(basis):
-        comps = ({}, {}, {}, {})
-        for e in supports[i]:
-            v = values.get(col_index[(i, e)])
-            if v is None:
-                continue
-            if real:  # v * w^(k_t - k_i), and w^4 = -1
-                d = (ks[0] - ks[i + 1]) % 8
-                comps[d % 4][(e, 0)] = _canon(-v if d >= 4 else v)
-            else:
-                for part, c in zip(comps, v.c):
-                    if c:
-                        part[(e, 0)] = c
-        coeffs.append(_series(comps, den, order - b.ord))
+    comps = [({}, {}, {}, {}) for _ in basis]
+    for r, e, v in solved:  # the term q^e of c_ik
+        i, k = built[r]
+        comps[i][k][(e, 0)] = _canon(v)
+    coeffs = [_series(c, den, order - b.ord) for c, b in zip(comps, basis)]
 
     certified = min([order, target.cutoff] + [
         b.cutoff + c.ord for b, c in zip(basis, coeffs) if not c.is_zero_series()
@@ -401,11 +420,7 @@ def decompose(target: Series, basis: list[Series], order) -> Decomposition:
     # free columns within one whole q-unit of the window top are truncation
     # artifacts (their products straddle the order bound); only deeper free
     # columns signal a genuinely dependent basis
-    interior_free = [
-        (i, e)
-        for (i, e) in cols
-        if col_index[(i, e)] not in pivots and e + brows[i][0][0] < hi - den
-    ]
+    interior_free = [(r, e) for r, e in free if e + brows[r][0][0] < hi - den]
     if residual.is_zero_series():
         status = "under-determined" if interior_free else "exact"
         witness = None

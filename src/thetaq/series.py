@@ -13,8 +13,8 @@ value is never zero and always canonical: an ``int`` when integral, a
 ``Fraction`` otherwise.  Every series the registry and ``branch`` build
 is a unit w^k times a series with rational coefficients, so one dict
 holds all its terms.  ``CycloNum``s are built only at the API edge: ``terms``,
-:meth:`Series.monomials`, ``text``, ``json_obj``, :func:`align` and the
-inverse's leading coefficient.
+:meth:`Series.monomials`, ``text``, ``json_obj`` and the inverse's leading
+coefficient.
 
 Exponents are stored as integers over one per-series denominator ``den``:
 the key ``(q, z)`` stands for ``q^(q/den) * z^(z/den)``.  Every kernel
@@ -22,8 +22,7 @@ the key ``(q, z)`` stands for ``q^(q/den) * z^(z/den)``.  Every kernel
 two series are first aligned on the lcm of their ``den``s, which are
 usually equal.  Fractions appear only at the boundary: the constructors
 that take rational exponents, ``ord``, ``cutoff``, ``terms``,
-:meth:`Series.monomials`, ``text`` and ``json_obj``.  :func:`align` puts
-several series on one grid for :mod:`thetaq.linsolve`.
+:meth:`Series.monomials`, ``text`` and ``json_obj``.
 
 Cutoffs propagate pessimistically:
 
@@ -379,23 +378,6 @@ def _packed_reciprocal(xs, bound):
             ys[j].append((e, (u + a * e) // b, c if div == 1 else
                           c // div if not c % div else rat(c, div)))
     return ys
-
-
-def align(series_list, order):
-    """The terms of several series on one grid.
-
-    Returns ``(den, hi, rows)``: ``den`` is the lcm of their denominators,
-    ``hi`` the least integer with ``hi/den >= order`` (so an exponent
-    ``q/den`` lies below ``order`` iff ``q < hi``), and ``rows[i]`` lists
-    the terms of ``series_list[i]`` as ``(q, z, coeff)`` with exponents
-    ``q/den`` and ``z/den``, ascending.
-    """
-    den = lcm(*(s.den for s in series_list))
-    rows = []
-    for s in series_list:
-        f = den // s.den
-        rows.append([(q * f, z * f, c) for (q, z), c in s._coeffs()])
-    return den, _grid_bound(order, den), rows
 
 
 class Series:

@@ -418,3 +418,18 @@ def test_pindep_fails_on_a_nonvanishing_undivided_combination(monkeypatch):
     r = run_identity("S4.pindep.m2.half")
     assert r.status == "fail"
     assert r.first_mismatch == (rat(3, 2), rat(-1, 2))
+
+
+def test_zcoset_names_a_term_at_an_integral_z_exponent(monkeypatch):
+    # the derived denominator lives on half-odd z-exponents; of the terms
+    # at integral ones, the least is the witness
+    stray = (rat(3, 2), rat(1))
+    off_coset = Series({(rat(1), rat(1, 2)): cyclo.ONE, stray: cyclo.I,
+                        (rat(5, 2), rat(0)): cyclo.ONE,
+                        (rat(2), rat(-3, 2)): cyclo.MINUS_ONE}, rat(6))
+    case = registry()["S5.denominator.zcoset"]  # built unpatched
+    monkeypatch.setattr(identities, "derived_denominator",
+                        lambda order: off_coset)
+    assert case.run(rat(4)) == (False, stray)
+    r = run_identity(case.id)
+    assert (r.status, r.first_mismatch) == ("fail", stray)

@@ -1,4 +1,5 @@
 import heapq
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from thetaq.numerators import (
     ratio_pair,
     u_basis,
 )
-from thetaq.series import InsufficientOrderError, Series, align
+from thetaq.series import InsufficientOrderError, Series, _grid_bound
 from thetaq.thetalib import bracket, eta, mumford, theta
 
 from conftest import assert_equal_series, is_zfree, span_equal
@@ -228,6 +229,20 @@ def reference_supports(target, basis, order):
             for d in diff_set(i, j):
                 add(j, e + d)
     return [sorted(s) for s in sets]
+
+
+def align(series_list, order):
+    """The terms of several series on one grid, with ``CycloNum``
+    coefficients: ``(den, hi, rows)``, ``den`` the lcm of their
+    denominators, ``hi`` the least integer with ``hi/den >= order``, and
+    ``rows[i]`` the terms of ``series_list[i]`` as ``(q, z, coeff)`` with
+    exponents ``q/den`` and ``z/den``, ascending."""
+    den = lcm(*(s.den for s in series_list))
+    rows = []
+    for s in series_list:
+        f = den // s.den
+        rows.append([(q * f, z * f, c) for (q, z), c in s._coeffs()])
+    return den, _grid_bound(order, den), rows
 
 
 def int_supports(target, basis, order):
@@ -502,9 +517,10 @@ def sparse_system(draw):
     the span) or a z-free combination of the basis, perturbed or not.
 
     In about half the draws every series is one unit w^k (k drawn per series
-    in 0..7) times rational coefficients, the real form that ``decompose``
-    eliminates in rationals; the target may be empty.  As w^(k+4) = -w^k,
-    ``decompose`` reads k mod 4, so its offsets k_t - k_i run over -3..3.
+    in 0..7) times rational coefficients, the real form in which
+    ``decompose`` builds one realified element per basis element, w^k with
+    k = k_t - k_i mod 4, negated where the turn wraps past w^4 = -1; the
+    target may be empty.
     The reference cannot take an exactly known basis element without terms
     (its product with a zero coefficient has a NaN cutoff)."""
     real = draw(st.booleans())
@@ -597,8 +613,9 @@ def test_closed_pivots_skip_a_row_without_reducing_it(monkeypatch):
     # pivot only later, and closed at once, which closes A; row z^2:
     # {A: 1, B: 3} then holds only closed pivots and is skipped.  The first
     # basis element is taken times 1, which keeps the system in real form
-    # (int entries), and times 1 + w, which takes it out; the zero pattern
-    # is the same
+    # (one realified element per basis element), and times 1 + w, which
+    # takes it out: there every element is realified four times (k = 0..3),
+    # so each row is four rows over Q, and the four rows at z^2 are skipped
     reduced = []
     heapify = heapq.heapify
 
@@ -615,7 +632,7 @@ def test_closed_pivots_skip_a_row_without_reducing_it(monkeypatch):
 
     three = (_poly([3, 1, 4]), [_poly([2, 1, 1]), _poly([1, 0, 3])])
     two = (_poly([3, 1]), [_poly([2, 1]), _poly([1])])
-    for scale in (cyclo.ONE, CycloNum(1, 1)):
+    for scale, reduced_rows in ((cyclo.ONE, 2), (CycloNum(1, 1), 8)):
         n3, dec = count(decompose, scale, *three)
         n2, _ = count(decompose, scale, *two)
         ref3, ref = count(reference_decompose, scale, *three)
@@ -628,7 +645,7 @@ def test_closed_pivots_skip_a_row_without_reducing_it(monkeypatch):
             [["0", "0", ["1", "0", "0", "0"]]]] * 2
         # the reference reduces the third row; here it is skipped
         assert (ref3, ref2) == (3, 2)
-        assert n3 == n2 == 2
+        assert n3 == n2 == reduced_rows
 
 
 def test_residual_lies_below_order_and_keeps_its_witness():
@@ -705,15 +722,16 @@ def test_distinct_leads_divide_by_a_fraction(monkeypatch):
         [["0", "0", ["-1", "0", "0", "0"]], ["1/2", "0", ["3", "0", "0", "0"]]]]
 
 
-def test_distinct_leads_in_cyclotomic_form(monkeypatch):
+def test_leads_of_one_plus_w_collide_when_realified(monkeypatch):
     # b0 holds two components, so the system is not in real form, and it
-    # leads with 1 + w
+    # leads with 1 + w: its realified elements w^0 b0 and w^3 b0 both lead
+    # on component 0 of q^0 z^0, so the system is eliminated
     w = CycloNum(0, 1)
     basis = [_exact({(0, 0): CycloNum(1, 1), (0, 1): 1}),
              _exact({(0, 1): 1, (1, 0): w})]
     c0 = _exact({(0, 0): w, (1, 0): 2})
     c1 = _exact({(0, 0): CycloNum(1, 0, 1)})
-    got = _solved_by(monkeypatch, "_substitute",
+    got = _solved_by(monkeypatch, "_eliminate",
                      c0 * basis[0] + c1 * basis[1], basis, 2)
     assert got["status"] == "exact"
     assert _terms(got) == [
@@ -736,3 +754,49 @@ def test_repeated_element_is_eliminated_and_under_determined(monkeypatch):
     got = _solved_by(monkeypatch, "_eliminate", b, [b, b], 2)
     assert got["status"] == "under-determined"
     assert _terms(got) == [[["0", "0", ["1", "0", "0", "0"]]], []]
+
+
+def test_systems_outside_real_form_are_solved_over_q(monkeypatch):
+    # each system holds a series with two components or series on
+    # different components; realified, it is solved over Q, so no
+    # Q(zeta_8) arithmetic runs inside ``decompose``
+    w = CycloNum(0, 1)
+    b0 = _exact({(0, 0): CycloNum(1, 1), (0, 1): 2, (1, 1): -1})
+    b1 = _exact({(0, 1): 1, (1, 0): w})
+    lead = (_exact({(0, 0): CycloNum(0, 1, 0, -1), (1, 0): 3}) * b0
+            + _exact({(0, 0): rat(1, 2)}) * b1)
+    p = _exact({(0, 0): 1, (0, 1): 2, (1, 2): 1})
+    r = _exact({(0, 1): 1, (1, 0): -3})
+    s = _exact({(0, 2): rat(1, 2), (1, 1): 1})
+    # w^-1 (w r) = r and (1 - w^2)/2 (1 + w^2) s = s: a real target
+    mixed = [p, r.times_monomial(w), s.times_monomial(CycloNum(1, 0, 1))]
+    m = _exact({(0, 0): CycloNum(1, 0, 1), (1, 1): 3})
+    turned = m.times_monomial(w)
+    cases = (
+        ("a lead of 1 + w", lead, [b0, b1], "exact"),
+        ("a real target over a mixed basis", p + r + s, mixed, "exact"),
+        # m and w m are dependent over z-free Q(zeta_8) series
+        ("a duplicated w-turned element",
+         m + _exact({(1, 0): 1}) * turned, [m, turned], "under-determined"),
+    )
+    calls = []
+
+    def counted(name):
+        fn = getattr(CycloNum, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for case, target, basis, status in cases:
+        calls.clear()
+        with monkeypatch.context() as mp:
+            for name in ("__add__", "__sub__", "__neg__", "__mul__",
+                         "inverse"):
+                mp.setattr(CycloNum, name, counted(name))
+            got = decompose(target, basis, 2)
+        assert not calls, case
+        assert got.json_obj() == reference_decompose(
+            target, basis, 2).json_obj(), case
+        assert got.status == status, case
