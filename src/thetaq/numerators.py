@@ -78,12 +78,18 @@ def _min_coset_abs(n0):
 def theta_inv_half(j, order) -> Series:
     """1 / theta_{j,1}(tau, z) for j = +-1/2 (unit monomial leading layer).
 
-    theta_{j,1} has ord 1/16 and its inverse loses twice that, so a build
-    1/8 higher lands on ``order``.
+    Only j = -1/2 is inverted: theta_{-1/2,1} has ord 1/16 and its inverse
+    loses twice that, so a build 1/8 higher lands on ``order``.  j = 1/2 is
+    the reflection z -> -z of that entry (theta_{-j,m}(tau, z) =
+    theta_{j,m}(tau, -z)), with the same cutoff.
     """
+    j = rat(j)
     order = rat(order)
+    if j > 0:
+        return _cached(("thinv", j, order),
+                       lambda: theta_inv_half(-j, order).reflected())
     return _cached(
-        ("thinv", rat(j), order),
+        ("thinv", j, order),
         lambda: theta(j, 1, order + rat(1, 8)).inverse(),
     )
 
@@ -91,18 +97,22 @@ def theta_inv_half(j, order) -> Series:
 def ratio_pair(a, big_m, order) -> Series:
     """theta_{a,M}/theta_{-1/2,1} - theta_{-a,M}/theta_{1/2,1}.
 
-    The inverses have ord -1/16 and the numerators ord >= 0, so factors
-    built 1/16 higher give a product whose cutoff is exactly ``order``.
+    With theta_{-j,m}(tau, z) = theta_{j,m}(tau, -z), the second quotient
+    is the reflection z -> -z of X = theta_{a,M}/theta_{-1/2,1}, so the
+    pair is ``X - X.reflected()``: one inverse and one product.  The
+    inverse has ord -1/16 and theta_{a,M} ord >= 0, so factors built 1/16
+    higher give X, and the pair, a cutoff of exactly ``order``.
     """
     a = rat(a)
     big_m = rat(big_m)
     order = rat(order)
     k = order + rat(1, 16)
-    return _cached(
-        ("rpair", a, big_m, order),
-        lambda: theta(a, big_m, k) * theta_inv_half(rat(-1, 2), k)
-        - theta(-a, big_m, k) * theta_inv_half(rat(1, 2), k),
-    )
+
+    def build():
+        x = theta(a, big_m, k) * theta_inv_half(rat(-1, 2), k)
+        return x - x.reflected()
+
+    return _cached(("rpair", a, big_m, order), build)
 
 
 def _triple_sum_weights(m: int, alpha, bound):
@@ -257,7 +267,7 @@ def _undivided(m, p, sector, order):
     pair_off, bracket_off = (0, 0) if sector == "half" else (big_m, m)
     pref = -rat(m, big_m) * alpha**2
     rp = ratio_pair(2 * alpha + pair_off, big_m, order)
-    total = (eta(2, 3, order - min(rp.ord, R0)) * rp).times_monomial(-cyclo.I)
+    total = eta(2, 3, order - min(rp.ord, R0)).times_monomial(-cyclo.I) * rp
     kw = order - pref
     s = Series.zero(kw)
     for kk, w in _triple_sum_weights(m, alpha, kw).items():
@@ -283,7 +293,7 @@ def _closed(m, p, sector, order):
     u = _undivided(m, p, sector, order + o0)
     kd = order - u.ord
     th0_inv = theta_pm(eps, idx0, big_m, kd + 2 * o0 + 1).inverse(order=kd)
-    return (u * th0_inv).times_monomial(unit)
+    return u * th0_inv.times_monomial(unit)
 
 
 def undivided_half_combination(m: int, p: int, order) -> Series:
@@ -395,31 +405,34 @@ def character(m: int, m2: int, order) -> Series:
 
 
 def _character_raw(m, m2, order):
+    # A unit goes on the shortest factor of its product, where it moves a
+    # few integer values between components, not on the finished series.
+    # A rational scalar (-1/2, w^2/2) stays on the finished series: on a
+    # factor it would make that factor's values Fractions, and a later
+    # product below the size rule ``_DENSE`` (``pref``'s, at the registry's
+    # orders) would multiply Fractions in ``_convolve``, term pair by term
+    # pair.
     k = order
     if m == 1:
-        th = theta(m2, 1, k)
-        s = th * eta(1, -1, k)
-        return s.times_monomial(-cyclo.I if m2 == 1 else -cyclo.ONE)
+        unit = -cyclo.I if m2 == 1 else cyclo.MINUS_ONE
+        return theta(m2, 1, k) * eta(1, -1, k).times_monomial(unit)
     if m == 2 and m2 == 1:
-        s = eta(2, 1, k) * eta(rat(1, 2), -1, k) * eta(1, -1, k) * mumford("10", k)
-        return s.times_monomial(cyclo.I)
+        return (eta(2, 1, k).times_monomial(cyclo.I) * eta(rat(1, 2), -1, k)
+                * eta(1, -1, k) * mumford("10", k))
     # the labels of one level below share every part but the sign
     if m == 2:
         a, b = _cached(("charparts", m, k), lambda: (
             eta(rat(1, 2), 1, k) * eta(1, -1, k) * eta(2, -1, k) * mumford("01", k),
             eta(rat(1, 2), -1, k) * eta(2, -1, k) * mumford("00", k)))
-        sgn = cyclo.ONE if m2 == 0 else cyclo.MINUS_ONE
-        return (a + b.times_monomial(sgn)).times_monomial(
-            cyclo.CycloNum(rat(-1, 2))
-        )
+        return (a + b if m2 == 0 else a - b).times_monomial(
+            cyclo.CycloNum(rat(-1, 2)))
     # m == 4
     pref, a, b = _cached(("charparts", m, k), lambda: (
         eta(rat(1, 2), -1, k) * eta(2, -1, k),
         mumford("01", k) * mumford("10", k),
         eta(2, 1, k) * eta(1, -2, k) * mumford("00", k) * mumford("10", k)))
-    sgn = cyclo.ONE if m2 == 1 else cyclo.MINUS_ONE
-    s = pref * (a + b.times_monomial(sgn))
-    return s.times_monomial(cyclo.CycloNum(R0, R0, rat(1, 2)))
+    return (pref * (a + b if m2 == 1 else a - b)).times_monomial(
+        cyclo.CycloNum(R0, R0, rat(1, 2)))
 
 
 def derived_denominator(order) -> Series:
@@ -437,8 +450,8 @@ def derived_denominator(order) -> Series:
 
     def build():
         th_inv = theta(0, 1, k).inverse(order=order)
-        s = eta(1, 1, order) * numerator_half(1, 0, k) * th_inv
-        return s.times_monomial(cyclo.MINUS_ONE)
+        return (eta(1, 1, order).times_monomial(cyclo.MINUS_ONE)
+                * numerator_half(1, 0, k) * th_inv)
 
     return _cached(("rden", order), build)
 

@@ -53,6 +53,10 @@ of the next one's.  The generators sum their eighth turns into
 the accumulators (:func:`_add_turn`), and :func:`_gather` turns
 accumulators into the dicts of a series.
 
+A sum and a difference each take one pass over the two operands' dicts;
+``a - b`` builds no negated copy of b.  :meth:`Series.reflected` is the
+series at -z: every z-key negated, the den and cutoff kept.
+
 ``ord`` here means the smallest stored q-exponent, or the cutoff itself for
 a series with no stored terms (all that is known of such a series is that
 it vanishes below its cutoff).  Exactly known series (monomials, constants,
@@ -493,6 +497,14 @@ class Series:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: Series) -> Series:
+        return self._plus(other, False)
+
+    def __sub__(self, other: Series) -> Series:
+        return self._plus(other, True)
+
+    def _plus(self, other: Series, negate) -> Series:
+        """``self + other``, or ``self - other`` when ``negate``, in one
+        pass."""
         cut = min(self.cutoff, other.cutoff)
         den = lcm(self.den, other.den)
         hi = _grid_bound(cut, den)
@@ -502,6 +514,8 @@ class Series:
             for k, v in b.items():
                 if k[0] >= hi:
                     continue
+                if negate:
+                    v = -v
                 cur = out.get(k)
                 if cur is None:
                     out[k] = v
@@ -512,11 +526,14 @@ class Series:
             comps.append(out)
         return _series(tuple(comps), den, cut)
 
-    def __sub__(self, other: Series) -> Series:
-        return self + (-other)
-
     def __neg__(self) -> Series:
         comps = tuple({k: -v for k, v in d.items()} for d in self._comps)
+        return _series(comps, self.den, self.cutoff)
+
+    def reflected(self) -> Series:
+        """The series at -z: every z-key negated, the den and cutoff kept."""
+        comps = tuple({(q, -z): v for (q, z), v in d.items()}
+                      for d in self._comps)
         return _series(comps, self.den, self.cutoff)
 
     def __mul__(self, other: Series) -> Series:
@@ -546,6 +563,8 @@ class Series:
         the keys shift, the values scale (:func:`_shift`)."""
         if not coeff:
             return Series.zero(INF)
+        if not dq and not dz and coeff == cyclo.ONE:
+            return self
         dq = rat(dq)
         dz = rat(dz)
         den = lcm(self.den, dq.denominator, dz.denominator)

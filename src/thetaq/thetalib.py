@@ -7,6 +7,13 @@ identity registry, which fail under the alternative normalizations):
 
 * ``theta(j, m)(tau, z) = sum over n in j/(2m)+Z of q^{m n^2} zeta^{m n}``
   with ``q = e^{2 pi i tau}``, ``zeta = e^{2 pi i z}``;
+* ``theta(-j, m)(tau, z) = theta(j, m)(tau, -z)`` (Kac & Peterson,
+  "Infinite-dimensional Lie algebras, theta functions and modular forms",
+  Adv. Math. 53, 1984), so the index -j is the reflection z -> -z
+  (``Series.reflected``) of the index j; a theta with a tau- or constant
+  shift reflects with those shifts negated:
+  ``theta(j, m, tshift=t, cshift=c)`` at -z is
+  ``theta(-j, m, tshift=-t, cshift=-c)``;
 * ``theta_pm(sign, j, m)`` is the z = 0 slice with an alternating sign
   ``sign^k`` along n = j/(2m) + k, so the ``+`` twist is theta itself;
 * ``vartheta_00 = theta_{0,2} + theta_{2,2}``,
@@ -189,9 +196,7 @@ def mumford(label: str, order, qscale=1, zcoeff=1, tshift=0, cshift=0) -> Series
     out = Series.zero(rat(order))
     for j, cf in _MUMFORD_PARTS[label]:
         part = theta(j, 2, order, qscale, zcoeff, tshift, cshift)
-        if cf is not cyclo.ONE:
-            part = part.times_monomial(cf)
-        out = out + part
+        out = out + part.times_monomial(cf)
     return out
 
 

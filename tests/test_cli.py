@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
 import thetaq
-from thetaq import identities
+from thetaq import cli, identities
 from thetaq._rational import rat
 from thetaq.cli import main
 from thetaq.linsolve import Decomposition
@@ -354,3 +355,43 @@ def test_backend_variable_is_ignored():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["backend"] == "fraction"
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "theta", "--j", "1", "--m", "2", "--format", "json"],
+    ["expand", "character", "--m", "2", "--m2", "1"],
+    ["expand", "ubasis", "--m", "2", "--sector", "half"],
+], ids=["theta-json", "character", "ubasis"])
+def test_expand_defaults_to_order_6(capsys, argv):
+    rc, out, err = run_cli(*argv, capsys=capsys)
+    assert (rc, err) == (0, "")
+    assert (rc, out, err) == run_cli(*argv, "--order", "6", capsys=capsys)
+    if "json" in argv:
+        assert json.loads(out)["cutoff"] == "6"
+
+
+def test_broken_pipe_exits_1_without_a_traceback_in_process(capsys, monkeypatch):
+    # stdout as a pipe whose reader has gone: every write fails
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return 1
+
+    redirected = []
+
+    def dup2(fd, fd2):
+        redirected.append(fd2)
+        os.close(fd)
+
+    # only the CLI's os: the test's own capture moves file descriptors too
+    monkeypatch.setattr(cli, "os", types.SimpleNamespace(
+        devnull=os.devnull, O_WRONLY=os.O_WRONLY, open=os.open, dup2=dup2))
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["list"]) == 1
+    assert redirected == [1]  # stdout now points at devnull
+    assert capsys.readouterr().err == ""

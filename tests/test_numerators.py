@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetaq._rational import R0, rat
-from thetaq import cyclo, numerators
+from thetaq import cyclo, numerators, thetalib
 from thetaq.cyclo import phase
 from thetaq.identities import run_identity
 from thetaq.numerators import (
@@ -32,7 +32,7 @@ from thetaq.numerators import (
     undivided_half_combination,
 )
 from thetaq.series import InsufficientOrderError, Series
-from thetaq.thetalib import bracket, eta, theta, theta_pm
+from thetaq.thetalib import bracket, eta, mumford, theta, theta_pm
 
 import make_golden_digests
 from conftest import assert_equal_series, coset_range, is_zfree, scale_args
@@ -463,3 +463,90 @@ def test_triple_sum_domain_guard_survives_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ValueError"
+
+
+# -- one inverse per ratio pair: theta_{-j,m}(tau, z) = theta_{j,m}(tau, -z)
+
+@pytest.mark.parametrize("k", [rat(6), rat(13, 2), rat(16), rat(24)])
+def test_positive_half_inverse_is_the_reflected_entry(k):
+    got = theta_inv_half(rat(1, 2), k)
+    want = theta(rat(1, 2), 1, k + rat(1, 8)).inverse()
+    assert got == want
+    assert got.cutoff == want.cutoff == k
+    assert got == theta_inv_half(rat(-1, 2), k).reflected()
+
+
+def two_inverse_ratio_pair(a, big_m, order):
+    """theta_{a,M}/theta_{-1/2,1} - theta_{-a,M}/theta_{1/2,1}, each half
+    with its own inverse, factors built 1/16 above ``order``."""
+    k = order + rat(1, 16)
+    inv = {j: theta(j, 1, k + rat(1, 8)).inverse()
+           for j in (rat(-1, 2), rat(1, 2))}
+    return (theta(a, big_m, k) * inv[rat(-1, 2)]
+            + -(theta(-a, big_m, k) * inv[rat(1, 2)]))
+
+
+@pytest.mark.parametrize("a,big_m", [
+    (rat(1, 2), 2), (rat(-1, 2), 3), (rat(5, 2), 3), (rat(7, 2), 3),
+    (rat(3, 2), 5), (rat(9, 2), 4), (rat(11, 2), 6), (rat(1, 3), 2)])
+@pytest.mark.parametrize("order", [rat(3), rat(6), rat(25, 4), rat(12)])
+def test_ratio_pair_matches_the_two_inverse_formula(a, big_m, order):
+    got = ratio_pair(a, big_m, order)
+    want = two_inverse_ratio_pair(a, big_m, order)
+    assert got == want
+    assert got.cutoff == want.cutoff == order
+
+
+def test_a_fresh_ratio_pair_takes_one_inverse(monkeypatch):
+    monkeypatch.setattr(thetalib, "_cache", {})
+    calls = []
+    inverse = Series.inverse
+
+    def counted(self, order=None):
+        calls.append(self)
+        return inverse(self, order)
+
+    monkeypatch.setattr(Series, "inverse", counted)
+    order = rat(9)
+    rp = ratio_pair(rat(5, 2), 3, order)
+    assert len(calls) == 1
+    # the j = 1/2 inverse at the same order is the reflection, not a build
+    theta_inv_half(rat(1, 2), order + rat(1, 16))
+    assert len(calls) == 1
+    assert rp == two_inverse_ratio_pair(rat(5, 2), 3, order)
+
+
+def unit_last_character(m, m2, k):
+    """The closed character formulas with each unit and scalar applied to
+    the finished product."""
+    if m == 1:
+        s = theta(m2, 1, k) * eta(1, -1, k)
+        return s.times_monomial(-cyclo.I if m2 == 1 else cyclo.MINUS_ONE)
+    if (m, m2) == (2, 1):
+        s = (eta(2, 1, k) * eta(rat(1, 2), -1, k) * eta(1, -1, k)
+             * mumford("10", k))
+        return s.times_monomial(cyclo.I)
+    if m == 2:
+        a = (eta(rat(1, 2), 1, k) * eta(1, -1, k) * eta(2, -1, k)
+             * mumford("01", k))
+        b = eta(rat(1, 2), -1, k) * eta(2, -1, k) * mumford("00", k)
+        sgn = cyclo.ONE if m2 == 0 else cyclo.MINUS_ONE
+        return (a + b.times_monomial(sgn)).times_monomial(
+            cyclo.CycloNum(rat(-1, 2)))
+    pref = eta(rat(1, 2), -1, k) * eta(2, -1, k)
+    a = mumford("01", k) * mumford("10", k)
+    b = (eta(2, 1, k) * eta(1, -2, k) * mumford("00", k)
+         * mumford("10", k))
+    sgn = cyclo.ONE if m2 == 1 else cyclo.MINUS_ONE
+    return (pref * (a + b.times_monomial(sgn))).times_monomial(
+        cyclo.CycloNum(R0, R0, rat(1, 2)))
+
+
+@pytest.mark.parametrize("label", list(SUPPORTED_CHARACTERS))
+@pytest.mark.parametrize("k", [rat(6), rat(25, 4), rat(12), rat(16)])
+def test_unit_folds_keep_every_character(label, k):
+    got = numerators._character_raw(*label, k)
+    want = unit_last_character(*label, k)
+    assert got == want
+    assert got.cutoff == want.cutoff
+    assert got.json_obj() == want.json_obj()

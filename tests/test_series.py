@@ -593,3 +593,69 @@ def test_packed_inverse_matches_geometric_reference(case):
     inv = s.inverse(order)
     assert_kernel_form(inv)
     assert (inv.terms, inv.cutoff) == geometric_inverse(s, order)
+
+
+# -- the reflection z -> -z and the one-pass difference
+
+@st.composite
+def turned_series(draw):
+    """Mixed exponent dens and cutoffs, coefficients on all four
+    components (the units w^k and two-component FORM_COEFFS)."""
+    terms = draw(st.dictionaries(st.tuples(mixed_q, mixed_z), monomial_coeffs,
+                                 max_size=6))
+    return Series(terms, draw(mixed_cutoff))
+
+
+@settings(max_examples=150, deadline=None)
+@given(turned_series())
+def test_reflected_negates_z_and_twice_is_the_series(s):
+    r = s.reflected()
+    assert r.terms == {(q, -z): c for (q, z), c in s.terms.items()}
+    assert (r.den, r.cutoff) == (s.den, s.cutoff)
+    back = r.reflected()
+    assert back._comps == s._comps
+    assert (back.den, back.cutoff) == (s.den, s.cutoff)
+
+
+@settings(max_examples=200, deadline=None)
+@given(turned_series(), turned_series())
+def test_difference_is_the_sum_of_the_negation(a, b):
+    got, want = a - b, a + (-b)
+    assert_kernel_form(got)
+    assert got._comps == want._comps
+    assert (got.den, got.cutoff) == (want.den, want.cutoff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(turned_series(), mixed_cutoff)
+def test_difference_cancels_fully(a, cutoff):
+    same = Series(a.terms, cutoff)  # a's terms below its own cutoff
+    for d, cut in ((a - a, a.cutoff), (a - same, min(a.cutoff, cutoff))):
+        assert d.is_zero_series()
+        assert not any(d._comps)
+        assert d.cutoff == cut
+
+
+def test_difference_builds_no_negated_copy(monkeypatch):
+    a = S([(0, 0, 1), (1, 1, 2), (rat(3, 2), -1, 5)], cutoff=4)
+    b = S([(0, 0, 1), (1, 1, -3), (2, 0, 7)], cutoff=3)
+    want = a + (-b)
+
+    def forbidden(self):
+        raise AssertionError("a - b negated b")
+
+    monkeypatch.setattr(Series, "__neg__", forbidden)
+    got = a - b
+    assert got == want
+    assert got.terms == {(rat(1), rat(1)): CycloNum(5),
+                         (rat(3, 2), rat(-1)): CycloNum(5),
+                         (rat(2), rat(0)): CycloNum(-7)}
+
+
+def test_times_one_without_a_shift_is_the_series_itself():
+    s = theta(rat(1, 2), 3, 5)
+    assert s.times_monomial(cyclo.ONE) is s
+    assert s.times_monomial(CycloNum(1), 0, 0) is s
+    moved = s.times_monomial(cyclo.ONE, rat(1, 2))
+    assert moved is not s and moved.cutoff == s.cutoff + rat(1, 2)
+    assert s.times_monomial(cyclo.MINUS_ONE) is not s

@@ -339,3 +339,30 @@ def test_eta_does_not_depend_on_the_order_of_requests(monkeypatch):
     assert build(requests[::-1]) == fresh[::-1]
     assert [k for k in thetalib._cache if k[0] == "euler"] == [("euler", -1)]
     assert thetalib._cache["euler", -1].cutoff == 27
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rat_over(-40, 40), _rat_over(1, 12), _rat_over(-4, 30))
+def test_negated_index_is_the_reflection(k, m, order):
+    # theta_{-j,m}(tau, z) = theta_{j,m}(tau, -z)
+    want = theta(k, m, order).reflected()
+    got = theta(-k, m, order)
+    assert got == want
+    assert got.cutoff == want.cutoff
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rat_over(-12, 12), _rat_over(1, 6), _rat_over(-2, 16),
+       st.sampled_from([1, 2, rat(1, 2), 3]), st.sampled_from([1, -1, 2, 3]),
+       _rat_over(-3, 3), st.sampled_from([0, rat(1, 2), rat(1, 4), 1, rat(-3, 8)]))
+def test_shifted_theta_reflects_with_its_shifts_negated(j, m, order, qs, zc,
+                                                        ts, cs):
+    # theta_{j,m}(qs tau, -zc z + ts tau + cs) = theta_{-j,m}(qs tau,
+    # zc z - ts tau - cs)
+    try:
+        want = theta(j, m, order, qs, zc, ts, cs).reflected()
+    except PhaseError:
+        with pytest.raises(PhaseError):
+            theta(-j, m, order, qs, zc, -ts, -cs)
+        return
+    assert theta(-j, m, order, qs, zc, -ts, -cs) == want
